@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <span>
 #include <unordered_set>
 
-#include "common/hash.h"
 #include "common/resource_governor.h"
 #include "common/thread_pool.h"
 #include "engine/executor.h"
@@ -99,86 +99,6 @@ struct LocalFilters {
     }
     return true;
   }
-};
-
-// Open-addressing set of fixed-width ValueId tuples over a flat arena: one
-// hash-table slot per element and contiguous key storage, so membership
-// inserts neither allocate nor copy a vector per tuple (the dedup loops
-// below run one insert per intermediate row — a node-based set's per-insert
-// malloc dominated their profile). Only membership is ever consulted, so
-// the hash function never influences output order.
-class FlatTupleSet {
- public:
-  FlatTupleSet(size_t width, size_t expected) : width_(width) {
-    size_t cap = 16;
-    while (cap < expected * 2) cap <<= 1;
-    slots_.assign(cap, kEmptySlot);
-  }
-
-  // Inserts the `width` ids at `key`; returns true iff the tuple is new.
-  bool Insert(const ValueId* key) {
-    if ((count_ + 1) * 10 >= slots_.size() * 7) Grow();
-    const size_t mask = slots_.size() - 1;
-    for (size_t s = Hash(key) & mask;; s = (s + 1) & mask) {
-      const uint32_t idx = slots_[s];
-      if (idx == kEmptySlot) {
-        slots_[s] = static_cast<uint32_t>(count_);
-        arena_.insert(arena_.end(), key, key + width_);
-        ++count_;
-        return true;
-      }
-      if (Equal(idx, key)) return false;
-    }
-  }
-
-  // Membership without insertion (the streamed final step uses this to skip
-  // probes that can only re-produce an already-emitted tuple).
-  bool Contains(const ValueId* key) const {
-    const size_t mask = slots_.size() - 1;
-    for (size_t s = Hash(key) & mask;; s = (s + 1) & mask) {
-      const uint32_t idx = slots_[s];
-      if (idx == kEmptySlot) return false;
-      if (Equal(idx, key)) return true;
-    }
-  }
-
-  size_t size() const { return count_; }
-
- private:
-  static constexpr uint32_t kEmptySlot = ~0u;
-
-  uint64_t Hash(const ValueId* key) const {
-    uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (size_t i = 0; i < width_; ++i) {
-      h ^= key[i] + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-
-  bool Equal(uint32_t idx, const ValueId* key) const {
-    const ValueId* stored = arena_.data() + static_cast<size_t>(idx) * width_;
-    for (size_t i = 0; i < width_; ++i) {
-      if (stored[i] != key[i]) return false;
-    }
-    return true;
-  }
-
-  void Grow() {
-    std::vector<uint32_t> bigger(slots_.size() * 2, kEmptySlot);
-    const size_t mask = bigger.size() - 1;
-    for (uint32_t idx : slots_) {
-      if (idx == kEmptySlot) continue;
-      size_t s = Hash(arena_.data() + static_cast<size_t>(idx) * width_) & mask;
-      while (bigger[s] != kEmptySlot) s = (s + 1) & mask;
-      bigger[s] = idx;
-    }
-    slots_.swap(bigger);
-  }
-
-  size_t width_;
-  size_t count_ = 0;
-  std::vector<uint32_t> slots_;
-  std::vector<ValueId> arena_;
 };
 
 // SIP filters of one plan step (DESIGN.md §13): a row is skipped when some
@@ -537,9 +457,11 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
                     .data()
                     .data();
     }
+    // Grows from small: few classes survive, and the sample bail-out below
+    // often stops the pass after kDedupSampleRows bindings.
     // gov: bounded — interface keys of an already-charged intermediate,
     // freed at scope exit; `kept` never outgrows the buffer it replaces.
-    FlatTupleSet classes(spec.size(), count);
+    TupleSet classes(spec.size());
     std::vector<RowId> kept;
     std::vector<ValueId> ikey(spec.size());
     for (size_t i = 0; i < count; ++i) {
@@ -792,8 +714,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
             ++skips;
             continue;
           }
-          const std::vector<RowId>& match_rows =
-              kw == 1 ? index.Lookup1(key[0]) : index.Lookup(key);
+          const std::span<const RowId> match_rows = index.Lookup(key);
           const size_t before =
               produced.fetch_add(match_rows.size(), std::memory_order_relaxed);
           if (before + match_rows.size() > kMaxIntermediateRows) {
@@ -884,13 +805,12 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
   }
   const std::vector<RowId>& fin = *rows;
   const size_t out_count = width == 0 ? 0 : fin.size() / width;
-  // gov: charged — dedup-set bytes accumulate in `pending` below. On the
-  // guard path the distinct-tuple set is bounded by the guard itself (the
-  // first tuple past it ends the run), so size for that instead of the
+  // On the guard path the distinct-tuple set is bounded by the guard itself
+  // (the first tuple past it ends the run), so size for that instead of the
   // worst-case row count.
-  FlatTupleSet seen(query.projections().size(),
-                    subset_guard != nullptr ? subset_guard->size() + 1
-                                            : out_count);
+  // gov: charged — dedup-set bytes accumulate in `pending` below.
+  TupleSet seen(query.projections().size());
+  seen.reserve(subset_guard != nullptr ? subset_guard->size() + 1 : out_count);
   std::vector<ValueId> tuple(query.projections().size());
   uint64_t pending = 0;
   auto finish_stats = [&]() {
@@ -937,11 +857,12 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
               .data()
               .data();
     }
-    // Composite-key SIP (kw >= 2 only; single keys go through Lookup1's flat
-    // map, which a bit test cannot beat): most prefix bindings of a convoy
-    // candidate have no partner in the final table — on foreign-key data
-    // every component value exists, but the combination does not — so a
-    // cache-resident bit test rejects the miss before the hash-map probe.
+    // Composite-key SIP (kw >= 2 only; a single-id key's slot probe compares
+    // the id stored in the slot, which a bit test cannot beat): most prefix
+    // bindings of a convoy candidate have no partner in the final table — on
+    // foreign-key data every component value exists, but the combination
+    // does not — so a cache-resident bit test rejects the miss before the
+    // slot-table probe.
     // Output-neutral by construction: only provably-empty probes are
     // skipped, and an empty probe contributes nothing to `produced` either.
     const CompositeKeyFilter* key_filter =
@@ -985,8 +906,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
           ++skips;
           continue;
         }
-        const std::vector<RowId>& match_rows =
-            kw == 1 ? index.Lookup1(key[0]) : index.Lookup(key);
+        const std::span<const RowId> match_rows = index.Lookup(key);
         const size_t before =
             produced.fetch_add(match_rows.size(), std::memory_order_relaxed);
         if (before + match_rows.size() > kMaxIntermediateRows) {

@@ -8,17 +8,19 @@ TupleSet ProjectToTupleSet(const Table& table, const std::vector<ColumnId>& cols
                            const std::function<bool()>& interrupt) {
   // gov: bounded — one projection of a caller-chosen table; callers on the
   // search path project R_out (small) or governor-charged block results.
-  TupleSet out;
+  TupleSet out(cols.size());
   out.reserve(table.num_rows());
+  std::vector<const ValueId*> data(cols.size());
+  for (size_t i = 0; i < cols.size(); ++i) {
+    data[i] = table.column(cols[i]).data().data();
+  }
   std::vector<ValueId> tuple(cols.size());
   for (RowId r = 0; r < table.num_rows(); ++r) {
     if ((r & kInterruptPollMask) == 0 && interrupt && interrupt()) {
       // Partial set: the caller re-checks its stop predicate and discards.
       return out;
     }
-    for (size_t i = 0; i < cols.size(); ++i) {
-      tuple[i] = table.column(cols[i]).at(r);
-    }
+    for (size_t i = 0; i < cols.size(); ++i) tuple[i] = data[i][r];
     out.insert(tuple);
   }
   return out;
@@ -34,10 +36,8 @@ TupleSet TableToTupleSet(const Table& table,
 bool IsSubsetOf(const TupleSet& sub, const TupleSet& super,
                 const std::function<bool()>& interrupt) {
   if (sub.size() > super.size()) return false;
-  // det: order-insensitive — pure membership conjunction; the verdict is the
-  // same for every visiting order.
   uint64_t probed = 0;
-  for (const auto& t : sub) {
+  for (std::span<const ValueId> t : sub) {
     if ((++probed & kInterruptPollMask) == 0 && interrupt && interrupt()) {
       // Conservative "no" under interrupt; the caller re-checks its stop
       // predicate before trusting a false verdict.

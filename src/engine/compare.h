@@ -6,16 +6,12 @@
 #pragma once
 
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
-#include "common/hash.h"
 #include "storage/table.h"
+#include "storage/tuple_set.h"
 
 namespace fastqre {
-
-/// \brief A set of rows, each a tuple of ValueIds.
-using TupleSet = std::unordered_set<std::vector<ValueId>, IdTupleHash>;
 
 // Every routine below polls `interrupt` (may be empty) once per
 // kInterruptPollMask+1 rows/tuples so a deadline or Cancel() lands with

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "common/hash.h"
 #include "common/strings.h"
+#include "storage/tuple_set.h"
 
 namespace fastqre {
 
@@ -239,7 +239,7 @@ Result<std::unique_ptr<QueryCursor>> QueryCursor::Create(
                                      proj.column);
   }
 
-  cursor->candidates_.resize(n, nullptr);
+  cursor->candidates_.resize(n);
   cursor->owned_candidates_.resize(n);
   cursor->cursor_.resize(n, 0);
   cursor->bound_.resize(n, 0);
@@ -282,51 +282,13 @@ void QueryCursor::InitCandidates(size_t pos) {
   const Step& step = steps_[pos];
   cursor_[pos] = 0;
   if (step.reach_driver.has_value()) {
-    const ReachSpec& d = *step.reach_driver;
     std::vector<RowId>& owned = owned_candidates_[pos];
     owned.clear();
-    candidates_[pos] = &owned;
-    ValueId u =
-        steps_[d.from_pos].table->column(d.from_col).at(bound_[d.from_pos]);
-    auto it = d.map->find(u);
-    if (it == d.map->end()) return;  // nothing reachable: empty candidates
-    if (policy_.batch_probes) {
-      // Batched build: the cached reach list is a dense sorted ValueId span,
-      // probed one morsel at a time through LookupBatch — the vectorized
-      // containment filter of DESIGN.md §12. Append order (value order, then
-      // index row order per value) matches the scalar loop exactly.
-      const std::vector<ValueId>& vals = it->second;
-      const size_t chunk = policy_.MorselSize();
-      for (size_t lo = 0; lo < vals.size(); lo += chunk) {
-        const size_t len = std::min(chunk, vals.size() - lo);
-        rows_examined_ += len;
-        if (interrupt_ && interrupt_()) {
-          interrupted_ = true;
-          return;
-        }
-        (void)step.reach_index->LookupBatch(vals.data() + lo, len,
-                                            &batch_buf_);
-        owned.insert(owned.end(), batch_buf_.rows.begin(),
-                     batch_buf_.rows.end());
-      }
-      return;
-    }
-    for (ValueId v : it->second) {
-      ++rows_examined_;
-      if ((rows_examined_ & kInterruptPollMask) == 0 && interrupt_ &&
-          interrupt_()) {
-        interrupted_ = true;
-        return;
-      }
-      const std::vector<RowId>& rows = step.reach_index->Lookup1(v);
-      owned.insert(owned.end(), rows.begin(), rows.end());
-    }
+    FillReachCandidates(step, &owned);
+    candidates_[pos] = owned;
     return;
   }
-  if (step.index == nullptr) {
-    candidates_[pos] = nullptr;  // full scan
-    return;
-  }
+  if (step.index == nullptr) return;  // full scan
   auto& key = key_buf_[pos];
   for (size_t i = 0; i < step.key_sources.size(); ++i) {
     const KeySource& ks = step.key_sources[i];
@@ -335,8 +297,46 @@ void QueryCursor::InitCandidates(size_t pos) {
                  : steps_[ks.from_pos].table->column(ks.column).at(
                        bound_[ks.from_pos]);
   }
-  candidates_[pos] =
-      key.size() == 1 ? &step.index->Lookup1(key[0]) : &step.index->Lookup(key);
+  candidates_[pos] = step.index->Lookup(key);
+}
+
+void QueryCursor::FillReachCandidates(const Step& step,
+                                      std::vector<RowId>* owned) {
+  const ReachSpec& d = *step.reach_driver;
+  ValueId u =
+      steps_[d.from_pos].table->column(d.from_col).at(bound_[d.from_pos]);
+  auto it = d.map->find(u);
+  if (it == d.map->end()) return;  // nothing reachable: empty candidates
+  if (policy_.batch_probes) {
+    // Batched build: the cached reach list is a dense sorted ValueId span,
+    // probed one morsel at a time through LookupBatch — the vectorized
+    // containment filter of DESIGN.md §12. Append order (value order, then
+    // index row order per value) matches the scalar loop exactly.
+    const std::vector<ValueId>& vals = it->second;
+    const size_t chunk = policy_.MorselSize();
+    for (size_t lo = 0; lo < vals.size(); lo += chunk) {
+      const size_t len = std::min(chunk, vals.size() - lo);
+      rows_examined_ += len;
+      if (interrupt_ && interrupt_()) {
+        interrupted_ = true;
+        return;
+      }
+      (void)step.reach_index->LookupBatch(vals.data() + lo, len, &batch_buf_);
+      owned->insert(owned->end(), batch_buf_.rows.begin(),
+                    batch_buf_.rows.end());
+    }
+    return;
+  }
+  for (ValueId v : it->second) {
+    ++rows_examined_;
+    if ((rows_examined_ & kInterruptPollMask) == 0 && interrupt_ &&
+        interrupt_()) {
+      interrupted_ = true;
+      return;
+    }
+    const std::span<const RowId> rows = step.reach_index->Lookup1(v);
+    owned->insert(owned->end(), rows.begin(), rows.end());
+  }
 }
 
 void QueryCursor::Rebind(const ValueId* values, size_t n) {
@@ -365,14 +365,13 @@ bool QueryCursor::Next(std::vector<ValueId>* row) {
   const int last = static_cast<int>(steps_.size()) - 1;
   while (depth_ >= 0) {
     const Step& step = steps_[depth_];
-    const size_t limit = candidates_[depth_] != nullptr
-                             ? candidates_[depth_]->size()
-                             : step.table->num_rows();
+    const bool scan = step.index == nullptr && !step.reach_driver.has_value();
+    const size_t limit =
+        scan ? step.table->num_rows() : candidates_[depth_].size();
     bool advanced = false;
     while (cursor_[depth_] < limit) {
-      RowId r = candidates_[depth_] != nullptr
-                    ? (*candidates_[depth_])[cursor_[depth_]]
-                    : static_cast<RowId>(cursor_[depth_]);
+      RowId r = scan ? static_cast<RowId>(cursor_[depth_])
+                     : candidates_[depth_][cursor_[depth_]];
       ++cursor_[depth_];
       ++rows_examined_;
       if ((rows_examined_ & kInterruptPollMask) == 0 && interrupt_ &&
@@ -427,9 +426,10 @@ Result<Table> ExecuteToTable(const Database& db, const PJQuery& query,
     FASTQRE_RETURN_NOT_OK(out.AddColumn(col_name, src.type()));
   }
 
-  // NOLINT-ANALYZER(governed-alloc): CLI/test materialization helper off
-  // the governed search path; validation materializes via the block executor.
-  std::unordered_set<std::vector<ValueId>, IdTupleHash> seen;
+  // Validation materializes via the block executor; this CLI/test helper is
+  // off the governed search path.
+  // NOLINT-ANALYZER(governed-alloc): ungoverned CLI/test materialization
+  TupleSet seen(query.projections().size());
   std::vector<ValueId> row;
   while (cursor->Next(&row)) {
     if (seen.insert(row).second) {

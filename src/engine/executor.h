@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -169,6 +170,9 @@ class QueryCursor {
   // bound at earlier positions (may set interrupted_ when a reach-driven
   // candidate build trips the interrupt callback).
   void InitCandidates(size_t pos);
+  // Appends the rows a reach-driven step can bind (∪ over the reachable
+  // values v of reach_index[v]) to `owned`.
+  void FillReachCandidates(const Step& step, std::vector<RowId>* owned);
 
   const Database* db_ = nullptr;
   ExecPolicy policy_;
@@ -183,7 +187,9 @@ class QueryCursor {
   BatchMatches batch_buf_;
 
   // Iteration state.
-  std::vector<const std::vector<RowId>*> candidates_;  // null => full scan
+  // Candidate rows per plan position; unused at a full-scan position (no
+  // index and no reach driver), which enumerates the table's rows instead.
+  std::vector<std::span<const RowId>> candidates_;
   // gov: bounded — per-cursor reach-driven lists, capped by the walk
   // relation's (already charged) endpoint sets; freed with the cursor.
   std::vector<std::vector<RowId>> owned_candidates_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -44,9 +45,9 @@ bool GroupCoherent(const Database& db, const Table& rout, TableId t,
   TupleSet out_tuples = ProjectToTupleSet(rout, out_cols, interrupt);
   if (interrupt && interrupt()) return false;
   uint64_t work = 0;
-  // det: order-insensitive — forall-probe; any visiting order reaches the
-  // same boolean verdict.
-  for (const auto& tuple : out_tuples) {
+  // Forall-probe in R_out row order; any visiting order reaches the same
+  // boolean verdict.
+  for (std::span<const ValueId> tuple : out_tuples) {
     if ((++work & kInterruptPollMask) == 0 && interrupt && interrupt()) {
       return false;
     }
@@ -193,11 +194,11 @@ CgmSet DiscoverCgms(const Database& db, const Table& rout,
         if (static_cast<int>(db_cols[i]) == db_col) key_pos = i;
       }
     }
-    // det: order-insensitive — set insertion; only the final cardinality
-    // is compared. A mid-loop stop leaves key_values partial, so the size
-    // test below stays false and no certainty is pinned under interrupt.
+    // Only the final cardinality is compared. A mid-loop stop leaves
+    // key_values partial, so the size test below stays false and no
+    // certainty is pinned under interrupt.
     uint64_t scanned = 0;
-    for (const auto& tuple : group_tuples) {
+    for (std::span<const ValueId> tuple : group_tuples) {
       if ((++scanned & kInterruptPollMask) == 0 && stopped()) break;
       key_values.insert(tuple[key_pos]);
     }

@@ -38,19 +38,16 @@ Result<Table> NormalizeRout(const Database& db, const Table& rout) {
   const bool same_dict = rout.dictionary() == db.dictionary();
   // gov: bounded — one set of R_out's rows (small by problem definition),
   // freed at scope exit.
-  TupleSet seen;
+  TupleSet seen(rout.num_columns());
   seen.reserve(rout.num_rows());
+  std::vector<ValueId> ids(rout.num_columns());
   // poll: bounded — one pass over R_out's rows (small by problem
   // definition); normalization finishes before any budget can expire.
   for (RowId r = 0; r < rout.num_rows(); ++r) {
-    std::vector<ValueId> ids(rout.num_columns());
-    if (same_dict) {
-      ids = rout.RowIds(r);
-    } else {
-      for (size_t c = 0; c < rout.num_columns(); ++c) {
-        ids[c] = db.dictionary()->Intern(
-            rout.dictionary()->Get(rout.column(c).at(r)));
-      }
+    for (size_t c = 0; c < rout.num_columns(); ++c) {
+      const ValueId id = rout.column(c).at(r);
+      ids[c] = same_dict ? id
+                         : db.dictionary()->Intern(rout.dictionary()->Get(id));
     }
     if (seen.insert(ids).second) out.AppendRowIds(ids);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <span>
 
 #include "common/interrupt.h"
 #include "common/thread_pool.h"
@@ -185,18 +186,15 @@ bool Validator::TryCachedCoherence(const Walk& walk, bool* verdict) {
   std::vector<ValueId> us, vs;
   size_t probed = 0;
   bool coherent = true;
-  // det: order-insensitive — forall over needed tuples; `coherent` is a
-  // conjunction, identical for every visiting order (interrupted runs
-  // publish nothing, per the no-memo-under-interrupt rule).
-  for (const auto& tuple : needed) {
+  // Forall over needed tuples, in R_out row order (TupleSet iterates in
+  // insertion order); `coherent` is a conjunction, so the verdict does not
+  // depend on that order (interrupted runs publish nothing, per the
+  // no-memo-under-interrupt rule).
+  for (std::span<const ValueId> tuple : needed) {
     for (size_t k = 0; k < from_j.size(); ++k) key_from[k] = tuple[from_j[k]];
     for (size_t k = 0; k < to_j.size(); ++k) key_to[k] = tuple[to_j[k]];
-    const std::vector<RowId>& rows_from = key_from.size() == 1
-                                              ? from_index.Lookup1(key_from[0])
-                                              : from_index.Lookup(key_from);
-    const std::vector<RowId>& rows_to = key_to.size() == 1
-                                            ? to_index.Lookup1(key_to[0])
-                                            : to_index.Lookup(key_to);
+    const std::span<const RowId> rows_from = from_index.Lookup(key_from);
+    const std::span<const RowId> rows_to = to_index.Lookup(key_to);
     stats_->validation_rows += rows_from.size() + rows_to.size();
     stats_->coherence_rows += rows_from.size() + rows_to.size();
     bool connected = false;
@@ -275,9 +273,10 @@ bool Validator::WalkCoherent(int walk_id) {
     stats_->sip_rows_skipped += cursor.sip_rows_skipped() - counted_sips;
     counted_sips = cursor.sip_rows_skipped();
   };
-  // det: order-insensitive — forall-probe conjunction over needed tuples;
-  // same verdict for every visiting order.
-  for (const auto& tuple : needed) {
+  // Forall-probe conjunction over needed tuples, in R_out row order; the
+  // verdict does not depend on that order, only the rows probed before the
+  // first uncovered tuple do.
+  for (std::span<const ValueId> tuple : needed) {
     QueryCursor* cursor = nullptr;
     if (policy_.batch_probes && shared_cursor != nullptr) {
       shared_cursor->Rebind(tuple.data(), tuple.size());

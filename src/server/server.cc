@@ -87,13 +87,15 @@ uint64_t Server::active_connections() const {
 
 void Server::Stop() {
   if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
+  // shutdown() wakes the blocked accept(); close alone may not on Linux.
+  // The acceptor reads listen_fd_, so the descriptor is closed and reset
+  // only after the acceptor has been joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (acceptor_.joinable()) acceptor_.join();
   if (listen_fd_ >= 0) {
-    // shutdown() wakes the blocked accept(); close alone may not on Linux.
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (acceptor_.joinable()) acceptor_.join();
   std::vector<std::thread> to_join;
   {
     MutexLock lock(&mu_);

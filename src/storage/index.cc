@@ -5,7 +5,7 @@
 namespace fastqre {
 
 HashIndex::HashIndex(const Table& table, std::vector<ColumnId> cols)
-    : cols_(std::move(cols)) {
+    : cols_(std::move(cols)), keys_(cols_.size()) {
   (void)BuildRows(table, {});  // no interrupt: cannot fail
 }
 
@@ -20,49 +20,41 @@ std::unique_ptr<HashIndex> HashIndex::Build(
 bool HashIndex::BuildRows(const Table& table,
                           const std::function<bool()>& interrupt) {
   const size_t n = table.num_rows();
-  if (cols_.empty()) {
-    estimated_bytes_ = sizeof(HashIndex);
-    return true;
-  }
-  if (cols_.size() == 1) {
-    const Column& c = table.column(cols_[0]);
-    single_.reserve(n);
+  const size_t width = cols_.size();
+  if (width > 0) {
+    // Pass 1: number the distinct keys in first-occurrence order and count
+    // each key's rows.
+    std::vector<const ValueId*> data(width);
+    for (size_t i = 0; i < width; ++i) {
+      data[i] = table.column(cols_[i]).data().data();
+    }
+    std::vector<uint32_t> row_key(n);  // key number of each row
+    std::vector<uint32_t> counts;
+    std::vector<ValueId> key(width);
     for (RowId r = 0; r < n; ++r) {
       if ((r & kInterruptPollMask) == 0 && interrupt && interrupt()) {
         return false;
       }
-      single_[c.at(r)].push_back(r);
+      for (size_t i = 0; i < width; ++i) key[i] = data[i][r];
+      const auto [k, fresh] = keys_.insert(key);
+      if (fresh) counts.push_back(0);
+      ++counts[k];
+      row_key[r] = static_cast<uint32_t>(k);
     }
-  } else {
-    multi_.reserve(n);
-    std::vector<ValueId> key(cols_.size());
-    for (RowId r = 0; r < n; ++r) {
-      if ((r & kInterruptPollMask) == 0 && interrupt && interrupt()) {
-        return false;
-      }
-      for (size_t i = 0; i < cols_.size(); ++i) {
-        key[i] = table.column(cols_[i]).at(r);
-      }
-      multi_[key].push_back(r);
+    // Pass 2: scatter the rows into their keys' extents. Rows are visited
+    // in ascending order, so every posting list comes out ascending.
+    offsets_.assign(keys_.size() + 1, 0);
+    for (size_t k = 0; k < counts.size(); ++k) {
+      offsets_[k + 1] = offsets_[k] + counts[k];
     }
+    std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+    rows_.resize(n);
+    for (RowId r = 0; r < n; ++r) rows_[cursor[row_key[r]]++] = r;
   }
-  // Per-entry estimate: key storage + posting-list header and capacity +
-  // ~16 bytes of hash-table node/bucket overhead. Computed once here so the
-  // governor charge is O(keys) at build, not recomputed per query.
-  size_t bytes = sizeof(HashIndex);
-  if (cols_.size() == 1) {
-    // det: order-insensitive — commutative sum of per-entry byte estimates.
-    for (const auto& [key, rows] : single_) {
-      bytes += sizeof(key) + sizeof(rows) + rows.capacity() * sizeof(RowId) + 16;
-    }
-  } else {
-    // det: order-insensitive — commutative sum of per-entry byte estimates.
-    for (const auto& [key, rows] : multi_) {
-      bytes += sizeof(rows) + key.capacity() * sizeof(ValueId) +
-               rows.capacity() * sizeof(RowId) + 16;
-    }
-  }
-  estimated_bytes_ = bytes;
+  estimated_bytes_ = sizeof(HashIndex) + keys_.EstimatedBytes() +
+                     offsets_.capacity() * sizeof(uint32_t) +
+                     rows_.capacity() * sizeof(RowId) +
+                     cols_.capacity() * sizeof(ColumnId);
   return true;
 }
 
@@ -73,31 +65,19 @@ size_t HashIndex::LookupBatch(const ValueId* keys, size_t n,
   out->offsets.reserve(n + 1);
   out->offsets.push_back(0);
   const size_t width = cols_.size();
-  if (width == 1) {
-    // Adjacent duplicate keys (common when the driving morsel is sorted or
-    // clustered) reuse the previous probe's posting list without re-hashing.
-    const std::vector<RowId>* last = nullptr;
-    ValueId last_key = 0;
-    for (size_t i = 0; i < n; ++i) {
-      const ValueId k = keys[i];
-      if (last == nullptr || k != last_key) {
-        auto it = single_.find(k);
-        last = (it == single_.end()) ? &kEmpty() : &it->second;
-        last_key = k;
-      }
-      out->rows.insert(out->rows.end(), last->begin(), last->end());
-      out->offsets.push_back(out->rows.size());
-      if (max_rows > 0 && out->rows.size() >= max_rows) return i + 1;
-    }
-    return n;
-  }
-  std::vector<ValueId> key(width);
+  // Adjacent duplicate keys (common when the driving morsel is sorted or
+  // clustered) reuse the previous probe's posting list without re-hashing.
+  std::span<const RowId> last;
+  const ValueId* last_key = nullptr;
   for (size_t i = 0; i < n; ++i) {
-    key.assign(keys + i * width, keys + (i + 1) * width);
-    auto it = multi_.find(key);
-    if (it != multi_.end()) {
-      out->rows.insert(out->rows.end(), it->second.begin(), it->second.end());
+    const ValueId* k = keys + i * width;
+    bool same = last_key != nullptr;
+    for (size_t c = 0; same && c < width; ++c) same = k[c] == last_key[c];
+    if (!same) {
+      last = Lookup(std::span<const ValueId>(k, width));
+      last_key = k;
     }
+    out->rows.insert(out->rows.end(), last.begin(), last.end());
     out->offsets.push_back(out->rows.size());
     if (max_rows > 0 && out->rows.size() >= max_rows) return i + 1;
   }

@@ -7,12 +7,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
-#include "common/hash.h"
 #include "storage/table.h"
+#include "storage/tuple_set.h"
 
 namespace fastqre {
 
@@ -33,8 +34,12 @@ struct BatchMatches {
 
 /// \brief Equality index: (value tuple over `cols`) -> row ids.
 ///
-/// Single-column indexes (the overwhelmingly common case for pk-fk joins)
-/// use a flat ValueId-keyed map; multi-column indexes key on the id tuple.
+/// Flat layout (DESIGN.md §4.1): the distinct keys form a TupleSet, numbered
+/// in first-occurrence row order, and key k's rows are the CSR extent
+/// rows_[offsets_[k] .. offsets_[k+1]), in ascending row order. A lookup is
+/// one slot-table probe plus two offset loads; a posting list is a span into
+/// one shared array. Immutable after the build, so concurrent lookups need
+/// no locking.
 class HashIndex {
   // Constructor gate for Build(): only members can name DeferTag, yet the
   // tagged constructor stays public so std::make_unique works (no naked
@@ -48,7 +53,7 @@ class HashIndex {
   HashIndex(const Table& table, std::vector<ColumnId> cols);
 
   explicit HashIndex(DeferTag, std::vector<ColumnId> cols)
-      : cols_(std::move(cols)) {}
+      : cols_(std::move(cols)), keys_(cols_.size()) {}
 
   /// Interruptible build: like the constructor, but polls `interrupt` (may
   /// be empty) every kInterruptPollMask rows and returns nullptr if it
@@ -60,21 +65,21 @@ class HashIndex {
       const std::function<bool()>& interrupt);
 
   const std::vector<ColumnId>& columns() const { return cols_; }
-  size_t num_keys() const {
-    return cols_.size() == 1 ? single_.size() : multi_.size();
+  size_t num_keys() const { return keys_.size(); }
+
+  /// Rows whose single indexed column equals `key`, in ascending row order.
+  /// Requires 1 column.
+  std::span<const RowId> Lookup1(ValueId key) const {
+    return Postings(keys_.Find(std::span<const ValueId>(&key, 1)));
   }
 
-  /// Rows whose single indexed column equals `key`. Requires 1 column.
-  const std::vector<RowId>& Lookup1(ValueId key) const {
-    auto it = single_.find(key);
-    return it == single_.end() ? kEmpty() : it->second;
+  /// Rows whose indexed columns equal `key` position-wise, in ascending row
+  /// order. A key of the wrong width matches nothing.
+  std::span<const RowId> Lookup(std::span<const ValueId> key) const {
+    return Postings(keys_.Find(key));
   }
-
-  /// Rows whose indexed columns equal `key` position-wise.
-  const std::vector<RowId>& Lookup(const std::vector<ValueId>& key) const {
-    if (cols_.size() == 1) return Lookup1(key[0]);
-    auto it = multi_.find(key);
-    return it == multi_.end() ? kEmpty() : it->second;
+  std::span<const RowId> Lookup(std::initializer_list<ValueId> key) const {
+    return Lookup(std::span<const ValueId>(key.begin(), key.size()));
   }
 
   /// Probes a whole morsel of keys in one pass, filling `out` with each
@@ -89,29 +94,31 @@ class HashIndex {
   size_t LookupBatch(const ValueId* keys, size_t n, BatchMatches* out,
                      size_t max_rows = 0) const;
 
-  /// Estimated resident bytes (keys, posting lists, hash-node overhead),
-  /// computed once at build time. Charged to the resource governor by the
-  /// database's index cache (DESIGN.md §11); indexes persist for the
-  /// database's lifetime, so the charge is never released.
+  /// Resident bytes (key table, offsets, posting array), computed once at
+  /// build time. Charged to the resource governor by the database's index
+  /// cache (DESIGN.md §11); indexes persist for the database's lifetime, so
+  /// the charge is never released.
   size_t EstimatedBytes() const { return estimated_bytes_; }
 
  private:
-  static const std::vector<RowId>& kEmpty() {
-    static const std::vector<RowId> e;
-    return e;
+  std::span<const RowId> Postings(size_t key) const {
+    if (key == TupleSet::npos) return {};
+    return {rows_.data() + offsets_[key], rows_.data() + offsets_[key + 1]};
   }
 
-  // Shared body of the constructor and Build(): inserts all rows, polling
-  // `interrupt` per stride. Returns false (leaving the maps partial — the
-  // caller discards the object) when the interrupt fired.
+  // Shared body of the constructor and Build(), polling `interrupt` per
+  // stride. Returns false (leaving the index partial — the caller discards
+  // the object) when the interrupt fired.
   bool BuildRows(const Table& table, const std::function<bool()>& interrupt);
 
   std::vector<ColumnId> cols_;
   size_t estimated_bytes_ = 0;
-  std::unordered_map<ValueId, std::vector<RowId>> single_;
-  // gov: charged — EstimatedBytes() covers both maps; the cache owner
-  // charges it as "index-build" when the built index is published.
-  std::unordered_map<std::vector<ValueId>, std::vector<RowId>, IdTupleHash> multi_;
+  // gov: charged — EstimatedBytes() covers the key table, offsets and
+  // postings; the cache owner charges it as "index-build" when the built
+  // index is published.
+  TupleSet keys_;
+  std::vector<uint32_t> offsets_;
+  std::vector<RowId> rows_;
 };
 
 }  // namespace fastqre

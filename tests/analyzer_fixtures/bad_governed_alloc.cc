@@ -1,7 +1,8 @@
 // Must-flag: governed-alloc, six ways the regex linter structurally
-// misses: the TupleSet/ReachMap aliases, an `auto` deduced to TupleSet
-// (caught through the IdTupleHash hasher evidence), an unordered_map keyed
-// by tuples, a nested row-id matrix, and an unclassified field.
+// misses: the TupleSet class and ReachMap alias, an `auto` deduced to
+// TupleSet (caught through its record name), an unordered_map keyed by
+// tuples (caught through the IdTupleHash hasher evidence), a nested row-id
+// matrix, and an unclassified field.
 #include "fixture_stubs.h"
 
 TupleSet MakeResult();

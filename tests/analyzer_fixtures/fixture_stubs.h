@@ -126,11 +126,29 @@ void sort(It, It, Cmp);
 
 }  // namespace std
 
-// FastQRE-shaped types (see src/engine/compare.h, src/common/).
+// FastQRE-shaped types (see src/storage/tuple_set.h, src/common/).
 struct IdTupleHash {
   unsigned long operator()(const std::vector<ValueId>&) const;
 };
-using TupleSet = std::unordered_set<std::vector<ValueId>, IdTupleHash>;
+// TupleSet is a class — an insertion-ordered flat set, not an unordered_*
+// alias — so the analyzer must recognize it by its record name: iterating
+// one is data-scaled (poll-coverage) and a by-value one is governed
+// (governed-alloc), but its iteration order is not hash order.
+class TupleSet {
+ public:
+  struct const_iterator {
+    const std::vector<ValueId>& operator*() const;
+    const_iterator& operator++();
+    bool operator!=(const const_iterator&) const;
+  };
+  const_iterator begin() const;
+  const_iterator end() const;
+  void insert(const std::vector<ValueId>&);
+  unsigned long count(const std::vector<ValueId>&) const;
+  unsigned long size() const;
+};
+// A genuinely hash-ordered tuple set, for the unordered-escape fixtures.
+using UnorderedTupleSet = std::unordered_set<std::vector<ValueId>, IdTupleHash>;
 using ReachMap = std::unordered_map<ValueId, std::vector<ValueId>>;
 
 // Server-shaped aliases (see src/server/job_manager.h). The alias name is

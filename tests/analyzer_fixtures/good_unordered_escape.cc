@@ -4,7 +4,7 @@
 // before escaping — including the `// det: sorted` ranked-output idiom.
 #include "fixture_stubs.h"
 
-unsigned long CountAll(const TupleSet& tuples) {
+unsigned long CountAll(const UnorderedTupleSet& tuples) {
   unsigned long total = 0;
   for (const auto& t : tuples) {
     total += t.size();
@@ -12,16 +12,16 @@ unsigned long CountAll(const TupleSet& tuples) {
   return total;
 }
 
-TupleSet Dedup(const TupleSet& tuples) {
+UnorderedTupleSet Dedup(const UnorderedTupleSet& tuples) {
   // gov: bounded - fixture-only copy, at most one entry per input tuple
-  TupleSet out;
+  UnorderedTupleSet out;
   for (const auto& t : tuples) {
     out.insert(t);
   }
   return out;
 }
 
-std::vector<ValueId> CollectSorted(const TupleSet& tuples) {
+std::vector<ValueId> CollectSorted(const UnorderedTupleSet& tuples) {
   std::vector<ValueId> out;
   for (const auto& t : tuples) {
     out.push_back(t[0]);
@@ -30,7 +30,7 @@ std::vector<ValueId> CollectSorted(const TupleSet& tuples) {
   return out;
 }
 
-void PrintRanked(std::ostream& os, const TupleSet& tuples) {
+void PrintRanked(std::ostream& os, const UnorderedTupleSet& tuples) {
   std::vector<ValueId> ranked;
   // det: sorted - ranked is sorted below before any output is produced
   for (const auto& t : tuples) {

@@ -173,6 +173,11 @@ struct AblationSpec {
   void (*apply)(QreOptions*);
 };
 
+// gtest would otherwise dump the spec's bytes -- two pointers that move with
+// every process under ASLR -- into the listed test names, so CTest would
+// register a different name for the same case on every build.
+void PrintTo(const AblationSpec& spec, std::ostream* os) { *os << spec.name; }
+
 class AblationTest : public ::testing::TestWithParam<AblationSpec> {};
 
 TEST_P(AblationTest, StillFindsGeneratingQuery) {

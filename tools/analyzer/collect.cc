@@ -258,9 +258,9 @@ class Collector : public RecursiveASTVisitor<Collector> {
   // ---- pass 3: governed-type classification ----------------------------
 
   /// Walks the sugar chain of `qt` looking for the governed aliases, then
-  /// falls back to canonical-type evidence (the named filter classes, the
-  /// IdTupleHash hasher that identifies TupleSet through `auto`, nested
-  /// row-id vectors).
+  /// falls back to canonical-type evidence (the named classes — TupleSet
+  /// and the filters, also through `auto` — an IdTupleHash hasher on an
+  /// unordered container, nested row-id vectors).
   bool IsGovernedType(QualType qt, std::string* which) {
     if (qt.isNull()) return false;
     if (qt->isReferenceType() || qt->isPointerType()) return false;
@@ -268,8 +268,7 @@ class Collector : public RecursiveASTVisitor<Collector> {
     for (int i = 0; i < 32 && ty != nullptr; ++i) {
       if (const auto* td = llvm::dyn_cast<TypedefType>(ty)) {
         llvm::StringRef n = td->getDecl()->getName();
-        if (n == "TupleSet" || n == "ReachMap" || n == "JobTable" ||
-            n == "AnswerBuffer") {
+        if (n == "ReachMap" || n == "JobTable" || n == "AnswerBuffer") {
           *which = n.str();
           return true;
         }
@@ -295,7 +294,7 @@ class Collector : public RecursiveASTVisitor<Collector> {
     const CXXRecordDecl* rec = canon->getAsCXXRecordDecl();
     if (rec == nullptr) return false;
     llvm::StringRef n = rec->getName();
-    if (n == "BitmapFilter" || n == "CompositeKeyFilter" ||
+    if (n == "TupleSet" || n == "BitmapFilter" || n == "CompositeKeyFilter" ||
         n == "SubplanTable") {
       *which = n.str();
       return true;
@@ -684,8 +683,9 @@ class Collector : public RecursiveASTVisitor<Collector> {
       const Expr* range = rf->getRangeInit();
       if (range == nullptr) return "";
       llvm::StringRef rec = RecordNameOf(range);
+      if (rec == "TupleSet") return "iterates a TupleSet";
       if (IsUnorderedContainerName(rec))
-        return "iterates a " + rec.str() + " (TupleSet/ReachMap class)";
+        return "iterates a " + rec.str() + " (hash container)";
       if (ExprCallsAnyOf(range, {"DistinctSet"}))
         return "iterates a Column::DistinctSet() extent";
       if (ExprCallsAnyOf(range, {"Lookup", "Lookup1", "LookupBatch"}))
