@@ -15,18 +15,20 @@ namespace fastqre {
 
 namespace {
 
-// Block-buffer bytes are accumulated locally (per morsel worker) and flushed
-// to the governor in quanta, keeping the accounting cost off the per-row hot
-// path.
+// Block-buffer bytes are accumulated locally (per morsel worker, or per
+// guard walk) and flushed to the governor in quanta, keeping the accounting
+// cost off the per-row hot path.
 constexpr uint64_t kChargeQuantumBytes = 64 * 1024;
 
-// Hard cap on intermediate materialization: pathological candidate queries
-// can otherwise exhaust memory before any time budget fires. Enforced
-// exactly at merge time (so the verdict is identical in every execution
-// configuration) and approximately inside each worker (so no single morsel
-// materializes unboundedly past it). Subplan-cache hits replay the stored
-// pre-filter enumeration count into the approximate counter, so the verdict
-// is also identical whether a prefix was recomputed or served from cache.
+// Hard cap on join enumeration: pathological candidate queries can otherwise
+// exhaust memory before any time budget fires. The materializing path caps
+// the running total of intermediate rows, exactly at merge time (so the
+// verdict is identical in every execution configuration) and approximately
+// inside each worker (so no single morsel materializes unboundedly past it);
+// subplan-cache hits replay the stored pre-filter enumeration count into
+// that total, so the verdict is also identical whether a prefix was
+// recomputed or served from cache. The guard walk caps each level's own
+// count instead (see GuardedWalk).
 constexpr size_t kMaxIntermediateRows = 20'000'000;
 
 // Rows the batched kernel expands per LookupBatch call before filtering and
@@ -36,14 +38,14 @@ constexpr size_t kBatchExpandRowCap = 64 * 1024;
 
 // Version tag leading every subplan signature, so a future encoding change
 // can never alias entries written by an older one.
-constexpr uint32_t kSubplanSigVersion = 1;
+constexpr uint32_t kSubplanSigVersion = 2;
 
-// Bindings the interface-dedup pass examines before deciding whether the
-// collapse pays for itself (see the bail-out in iface_dedup below).
+// Bindings a level's interface dedup examines before deciding whether the
+// collapse pays for itself (see ClassDedup::Admit).
 constexpr size_t kDedupSampleRows = 4096;
 
-// Why the shared stop flag fired; first cause wins (CAS). Values double as
-// merge-time status codes.
+// Why the materializing path's shared stop flag fired; first cause wins
+// (CAS).
 enum : int {
   kRunning = 0,
   kStopInterrupt = 1,
@@ -51,18 +53,17 @@ enum : int {
   kStopCap = 3,
 };
 
-// Releases every byte this block evaluation charged, on all return paths
-// (the intermediates are freed when the function's locals unwind). Workers
-// fold their flushed quanta into `charged` with relaxed adds; the final
-// load happens after every worker joined, so the total is exact.
-struct BlockChargeGuard {
-  const std::shared_ptr<ResourceGovernor>& governor;
-  std::atomic<uint64_t>& charged;
-  ~BlockChargeGuard() {
-    uint64_t total = charged.load(std::memory_order_relaxed);
-    if (governor != nullptr && total > 0) governor->Release(total);
-  }
-};
+Status Interrupted() {
+  return Status::ResourceExhausted("block evaluation interrupted");
+}
+Status OverBudget() {
+  return Status::ResourceExhausted(
+      "block evaluation exceeded the memory budget");
+}
+Status OverCap() {
+  return Status::ResourceExhausted(
+      "block evaluation exceeded the intermediate-size cap");
+}
 
 // Same-instance filters (self joins, selections) of one plan step, resolved
 // to raw column pointers once so the per-row check is a few loads.
@@ -71,8 +72,8 @@ struct LocalFilters {
   std::vector<std::pair<const ValueId*, ValueId>> sel_eq;
 
   // `include_selections` is false on probe steps, whose selections are
-  // folded into the index key (see the key-wiring loop below) and therefore
-  // already hold for every enumerated match.
+  // folded into the index key (see PlanJoins) and therefore already hold
+  // for every enumerated match.
   void Build(const Database& db, const PJQuery& query, InstanceId inst,
              bool include_selections) {
     const Table& t = db.table(query.instance_table(inst));
@@ -120,7 +121,8 @@ struct SipFilters {
 // `local_col` must hit the presence filter of `other_table`.`other_col`.
 // Per-candidate (the partner set depends on the candidate's later joins), so
 // SIP is only applied to steps whose output is never memoized — see
-// resolve_sip below — keeping subplan signatures SIP-free and shareable.
+// BlockContext::ResolveSip — keeping subplan signatures SIP-free and
+// shareable.
 struct SipDescriptor {
   ColumnId local_col;
   TableId other_table;
@@ -133,74 +135,29 @@ struct SipDescriptor {
   }
 };
 
-}  // namespace
+// A column of a placed instance, addressed by plan position.
+using PlanColumn = std::pair<int, ColumnId>;
 
-Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
-                           const std::string& name,
-                           std::function<bool()> interrupt,
-                           const ExecPolicy& policy,
-                           const TupleSet* subset_guard, bool* subset_violated,
-                           BlockRunStats* run_stats) {
+// The left-deep join plan both evaluation strategies share.
+struct BlockPlan {
+  // Placement order (plan position -> instance) and its inverse.
+  std::vector<InstanceId> order;
+  std::vector<int> pos;
+  // key_cols[p]: the probe columns of step p's index; key_sources[p]: the
+  // (plan position, column) each key component reads. A -1 position marks a
+  // folded selection constant, whose ValueId rides in the column field.
+  std::vector<std::vector<ColumnId>> key_cols;
+  std::vector<std::vector<PlanColumn>> key_sources;
+  // Future-join SIP constraints per plan position (empty with SIP off).
+  std::vector<std::vector<SipDescriptor>> sip_descs;
+
+  size_t size() const { return order.size(); }
+};
+
+Result<BlockPlan> PlanJoins(const Database& db, const PJQuery& query,
+                            bool use_sip) {
   const size_t n = query.num_instances();
-  if (n == 0) return Status::InvalidArgument("query has no instances");
-  if (!query.IsConnected()) {
-    return Status::InvalidArgument("query graph is disconnected (cross product)");
-  }
-  if (query.projections().empty()) {
-    return Status::InvalidArgument("query has no projection columns");
-  }
-  if (subset_guard != nullptr && subset_violated == nullptr) {
-    return Status::InvalidArgument("subset_guard requires subset_violated");
-  }
-  if (subset_violated != nullptr) *subset_violated = false;
-  const size_t morsel = policy.MorselSize();
-
-  // Governor accounting for the materialized intermediates (DESIGN.md §11).
-  // Cumulative across join steps — a conservative overestimate of the peak —
-  // and fully released on exit via the guard below. A refused charge
-  // dismisses this candidate only (the validator maps candidate-local
-  // ResourceExhausted to kError); it never aborts the whole search.
-  // Memoized prefixes served from the subplan cache are charged there
-  // ("subplan-build") instead, for the cache's lifetime.
-  // The policy's governor is the engine driving this candidate; the
-  // database attachment is only a fallback for standalone executor use —
-  // it is last-attach-wins across engines, so charging it here would let a
-  // concurrent engine's exhausted ladder dismiss THIS engine's candidates.
-  const std::shared_ptr<ResourceGovernor> governor =
-      policy.governor != nullptr ? policy.governor : db.governor();
-  std::atomic<uint64_t> charged_bytes{0};
-  BlockChargeGuard charge_guard{governor, charged_bytes};
-
-  // Shared stop flag: set by whichever morsel first observes an interrupt, a
-  // refused charge, or the intermediate cap; later morsels exit immediately.
-  // Relaxed suffices — the flag guards no data (per-morsel buffers are
-  // published by the RunMorsels join) and the first-cause CAS is exact.
-  std::atomic<int> stop{kRunning};
-  auto raise_stop = [&stop](int cause) {
-    int expected = kRunning;
-    (void)stop.compare_exchange_strong(expected, cause,
-                                       std::memory_order_relaxed,
-                                       std::memory_order_relaxed);
-  };
-  auto stop_status = [&stop]() {
-    switch (stop.load(std::memory_order_relaxed)) {
-      case kStopMemory:
-        return Status::ResourceExhausted(
-            "block evaluation exceeded the memory budget");
-      case kStopCap:
-        return Status::ResourceExhausted(
-            "block evaluation exceeded the intermediate-size cap");
-      default:
-        return Status::ResourceExhausted("block evaluation interrupted");
-    }
-  };
-  // Approximate running total of appended intermediate rows, for the
-  // in-worker cap guard; the exact (configuration-independent) cap verdict
-  // is re-checked on the merged total after each step.
-  std::atomic<size_t> produced{0};
-  // SIP skips across all steps and workers (observability only).
-  std::atomic<uint64_t> sip_skipped{0};
-
+  BlockPlan plan;
   // Left-deep join order: start anywhere, repeatedly attach an instance
   // adjacent to the placed set (any order is correct; smallest-table-first
   // keeps intermediates modest without changing the block semantics).
@@ -211,10 +168,11 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
     adj[j.a].push_back(ji);
     adj[j.b].push_back(ji);
   }
-  std::vector<int> pos(n, -1);
-  std::vector<InstanceId> order{0};
+  std::vector<int>& pos = plan.pos;
+  pos.assign(n, -1);
+  plan.order = {0};
   pos[0] = 0;
-  while (order.size() < n) {
+  while (plan.order.size() < n) {
     InstanceId best = static_cast<InstanceId>(n);
     size_t best_rows = 0;
     for (InstanceId v = 0; v < n; ++v) {
@@ -233,64 +191,35 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
       }
     }
     if (best == n) return Status::Internal("connected query not traversable");
-    pos[best] = static_cast<int>(order.size());
-    order.push_back(best);
+    pos[best] = static_cast<int>(plan.order.size());
+    plan.order.push_back(best);
   }
 
   // SIP descriptors per plan position: joins from the placed instance to a
   // *later*-placed one, i.e. filters the placed side can apply before the
   // partner's step exists (DESIGN.md §13, skip-only-provably-absent).
-  std::vector<std::vector<SipDescriptor>> sip_descs(n);
-  if (policy.use_sip) {
+  plan.sip_descs.resize(n);
+  if (use_sip) {
     for (const auto& j : query.joins()) {
       if (j.a == j.b) continue;
       const int pa = pos[j.a], pb = pos[j.b];
       const int earlier = std::min(pa, pb);
       const bool a_is_earlier = (pa == earlier);
-      sip_descs[earlier].push_back(SipDescriptor{
+      plan.sip_descs[earlier].push_back(SipDescriptor{
           a_is_earlier ? j.col_a : j.col_b,
           query.instance_table(a_is_earlier ? j.b : j.a),
           a_is_earlier ? j.col_b : j.col_a});
     }
     // det: order-insensitive — canonicalized per step for signature
     // stability; the tests are a conjunction, so their order is immaterial.
-    for (auto& descs : sip_descs) std::sort(descs.begin(), descs.end());
+    for (auto& descs : plan.sip_descs) std::sort(descs.begin(), descs.end());
   }
-  // With memoization active, SIP is restricted to the final step: its output
-  // is never cached, so the per-candidate filter set cannot leak into a
-  // shared intermediate — prefixes stay SIP-free, byte-identical across
-  // candidates, and their signatures need no SIP descriptors. Without a
-  // cache every step filters (nothing is shared, so nothing can alias).
-  const bool sip_all_steps =
-      policy.use_sip && policy.subplan_cache == nullptr;
-  auto resolve_sip = [&](size_t p) {
-    SipFilters filters;
-    if (!policy.use_sip || (!sip_all_steps && p + 1 < n)) return filters;
-    const Table& t = db.table(query.instance_table(order[p]));
-    for (const SipDescriptor& d : sip_descs[p]) {
-      filters.tests.emplace_back(
-          t.column(d.local_col).data().data(),
-          &db.GetOrBuildPresenceFilter(d.other_table, d.other_col));
-    }
-    return filters;
-  };
 
-  // Canonical prefix signatures (DESIGN.md §13): sigs[p] encodes everything
-  // that determines the binding matrix after step p — per placed instance
-  // its table, local predicates, SIP set, and (for p >= 1) the join-key
-  // wiring in plan-position space. Plan positions, not instance ids, so two
-  // candidates sharing a prefix shape alias regardless of numbering;
-  // projections are deliberately absent (they only shape the final
-  // projection, never the intermediates).
-  SubplanCache* cache = policy.subplan_cache;
-  std::vector<SubplanCache::Signature> sigs;
-  // Step key wiring, computed once here and reused by the execution loop
-  // below: key_cols[p] are the probe columns of step p's index,
-  // key_sources[p] the (plan position, column) each key component reads.
-  std::vector<std::vector<ColumnId>> key_cols(n);
-  std::vector<std::vector<std::pair<int, ColumnId>>> key_sources(n);
+  // Step key wiring.
+  plan.key_cols.resize(n);
+  plan.key_sources.resize(n);
   for (size_t p = 1; p < n; ++p) {
-    const InstanceId inst = order[p];
+    const InstanceId inst = plan.order[p];
     for (const auto& j : query.joins()) {
       if (j.a == j.b) continue;
       InstanceId other;
@@ -307,10 +236,10 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
       } else {
         continue;
       }
-      key_cols[p].push_back(local_col);
-      key_sources[p].emplace_back(pos[other], other_col);
+      plan.key_cols[p].push_back(local_col);
+      plan.key_sources[p].emplace_back(pos[other], other_col);
     }
-    if (key_cols[p].empty()) {
+    if (plan.key_cols[p].empty()) {
       return Status::Internal("frontier step without keys");
     }
     // Selection folding (mirrors the pipelined cursor): a probe step's
@@ -322,109 +251,412 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
     // list with non-qualifying rows removed, in the same row order.
     for (const auto& s : query.selections()) {
       if (s.instance == inst) {
-        key_cols[p].push_back(s.column);
-        key_sources[p].emplace_back(-1, static_cast<ColumnId>(s.value));
+        plan.key_cols[p].push_back(s.column);
+        plan.key_sources[p].emplace_back(-1, static_cast<ColumnId>(s.value));
       }
     }
   }
+  return plan;
+}
 
-  // Exact extras check (subset_guard): the final join step streams instead of
-  // materializing — each (prefix binding × index match) is projected, deduped
-  // and guard-checked on the fly, so a violating candidate is dismissed at
-  // its first extra tuple instead of after enumerating its full join. The
-  // surviving-table contract is unchanged: the stream visits (driving row,
-  // index match) pairs in exactly the order the materialize-then-project path
-  // would, so a non-violating run returns a byte-identical table.
-  const bool stream_last = subset_guard != nullptr && n >= 2;
-  const size_t last_materialized = stream_last ? n - 1 : n;
+// The probe side of one join step, resolved to raw pointers once per call.
+struct ProbeStep {
+  const HashIndex* index = nullptr;
+  LocalFilters filters;
+  SipFilters sip;
+  // Composite-key SIP (kw >= 2 only; a single-id key's slot probe compares
+  // the id stored in the slot, which a bit test cannot beat): on
+  // foreign-key data every component value exists while the combination
+  // often does not, so a cache-resident bit test rejects the miss before the
+  // slot-table probe. Output-neutral: only provably-empty probes are
+  // skipped, and an empty probe enumerates nothing. Null where not applied.
+  const CompositeKeyFilter* key_filter = nullptr;
+  // Per key component: the source plan position (-1 = folded constant), its
+  // column data, and the constant.
+  std::vector<int> src_pos;
+  std::vector<const ValueId*> src_data;
+  std::vector<ValueId> src_const;
 
-  // Interface-column dedup (guard path only): a prefix binding influences the
-  // rest of the run solely through its interface values — the columns later
-  // steps' join keys read plus the prefix's projection columns. Bindings
-  // equal on those produce identical projected-tuple sequences downstream, so
-  // keeping only the first of each class preserves the distinct-tuple set AND
-  // its first-occurrence order (a dropped binding's tuples were already
-  // emitted, in order, by its earlier representative). This collapses
-  // chain-join intermediates from row-pair counts to distinct-value counts —
-  // the multiplicative shrink the extras check lives on. iface[p] is the
-  // interface spec after step p, in (plan position, column) pairs; it depends
-  // on the suffix, so it is appended to sigs[p] below (two candidates whose
-  // suffixes read different interfaces must not alias).
-  std::vector<std::vector<std::pair<int, ColumnId>>> iface;
-  if (stream_last) {
-    iface.resize(n);
-    for (size_t p = 0; p + 1 < n; ++p) {
-      auto& spec = iface[p];
-      for (size_t q = p + 1; q < n; ++q) {
-        for (const auto& [sp, sc] : key_sources[q]) {
-          // sp < 0 is a folded selection constant, not a prefix column.
-          if (sp >= 0 && sp <= static_cast<int>(p)) spec.emplace_back(sp, sc);
-        }
+  size_t key_width() const { return src_pos.size(); }
+
+  // The probe key of `binding` (RowIds indexed by plan position).
+  void FillKey(const RowId* binding, ValueId* key) const {
+    for (size_t k = 0; k < src_pos.size(); ++k) {
+      key[k] = src_pos[k] < 0 ? src_const[k] : src_data[k][binding[src_pos[k]]];
+    }
+  }
+};
+
+// Per-call state shared by the scan, the materializing path and the guard
+// walk.
+struct BlockContext {
+  BlockContext(const Database& db_in, const PJQuery& query_in,
+               const ExecPolicy& policy_in,
+               const std::function<bool()>& interrupt_in, BlockPlan plan_in)
+      : db(db_in),
+        query(query_in),
+        policy(policy_in),
+        interrupt(interrupt_in),
+        plan(std::move(plan_in)),
+        governor(policy.governor != nullptr ? policy.governor
+                                            : db.governor()) {}
+  BlockContext(const BlockContext&) = delete;
+  BlockContext& operator=(const BlockContext&) = delete;
+
+  // Releases every byte this evaluation charged, on all return paths (the
+  // buffers are locals of the callee, freed before this runs). Workers fold
+  // their flushed quanta into `charged` with relaxed adds; this load happens
+  // after every worker joined, so the total is exact.
+  ~BlockContext() {
+    const uint64_t total = charged.load(std::memory_order_relaxed);
+    if (governor != nullptr && total > 0) governor->Release(total);
+  }
+
+  const Database& db;
+  const PJQuery& query;
+  const ExecPolicy& policy;
+  const std::function<bool()>& interrupt;
+  const BlockPlan plan;
+  // Governor accounting for block buffers (DESIGN.md §11). Cumulative
+  // across the call — a conservative overestimate of the peak — and fully
+  // released by the destructor. A refused charge dismisses this candidate
+  // only (the validator maps candidate-local ResourceExhausted to kError);
+  // it never aborts the whole search. Memoized prefixes served from the
+  // subplan cache are charged there ("subplan-build") instead, for the
+  // cache's lifetime.
+  // The policy's governor is the engine driving this candidate; the
+  // database attachment is only a fallback for standalone executor use —
+  // it is last-attach-wins across engines, so charging it here would let a
+  // concurrent engine's exhausted ladder dismiss THIS engine's candidates.
+  const std::shared_ptr<ResourceGovernor> governor;
+  std::atomic<uint64_t> charged{0};
+  // SIP skips across all steps and workers (observability only).
+  std::atomic<uint64_t> sip_skipped{0};
+
+  const ValueId* Column(int p, ColumnId c) const {
+    return db.table(query.instance_table(plan.order[p]))
+        .column(c)
+        .data()
+        .data();
+  }
+
+  // Charges the block-buffer bytes accumulated in `*pending` once they
+  // reach a quantum (any amount with `all`), zeroing it; false when the
+  // governor refuses.
+  bool ChargeQuantum(uint64_t* pending, bool all = false) {
+    if (*pending == 0 || (!all && *pending < kChargeQuantumBytes)) return true;
+    if (governor != nullptr) {
+      if (!governor->TryCharge(*pending, "block-buffer")) return false;
+      charged.fetch_add(*pending, std::memory_order_relaxed);
+    }
+    *pending = 0;
+    return true;
+  }
+
+  // With memoization active, presence-bitmap SIP is restricted to the final
+  // step: its output is never cached, so the per-candidate filter set cannot
+  // leak into a shared intermediate — prefixes stay SIP-free, byte-identical
+  // across candidates, and their signatures need no SIP descriptors.
+  // Without a cache every step filters (nothing is shared, so nothing can
+  // alias).
+  SipFilters ResolveSip(size_t p) const {
+    SipFilters filters;
+    const bool sip_all_steps =
+        policy.use_sip && policy.subplan_cache == nullptr;
+    if (!policy.use_sip || (!sip_all_steps && p + 1 < plan.size())) {
+      return filters;
+    }
+    const Table& t = db.table(query.instance_table(plan.order[p]));
+    for (const SipDescriptor& d : plan.sip_descs[p]) {
+      filters.tests.emplace_back(
+          t.column(d.local_col).data().data(),
+          &db.GetOrBuildPresenceFilter(d.other_table, d.other_col));
+    }
+    return filters;
+  }
+
+  // Resolves join step p (>= 1). The build side of the hash join is
+  // interruptible, so a deadline or Cancel() lands inside a large index
+  // build instead of after it (DESIGN.md §13); false when it fired.
+  bool ResolveStep(size_t p, bool use_key_filter, ProbeStep* step) const {
+    const InstanceId inst = plan.order[p];
+    step->index = db.TryGetOrBuildIndex(query.instance_table(inst),
+                                        plan.key_cols[p], interrupt);
+    if (step->index == nullptr) return false;
+    step->filters.Build(db, query, inst, /*include_selections=*/false);
+    step->sip = ResolveSip(p);
+    const auto& sources = plan.key_sources[p];
+    const size_t kw = sources.size();
+    step->src_pos.resize(kw);
+    step->src_data.assign(kw, nullptr);
+    step->src_const.assign(kw, 0);
+    for (size_t k = 0; k < kw; ++k) {
+      step->src_pos[k] = sources[k].first;
+      if (sources[k].first < 0) {
+        step->src_const[k] = static_cast<ValueId>(sources[k].second);
+      } else {
+        step->src_data[k] = Column(sources[k].first, sources[k].second);
       }
-      for (const auto& proj : query.projections()) {
-        if (pos[proj.instance] <= static_cast<int>(p)) {
-          spec.emplace_back(pos[proj.instance], proj.column);
-        }
+    }
+    if (use_key_filter && policy.use_sip && kw >= 2) {
+      step->key_filter = &db.GetOrBuildKeyFilter(query.instance_table(inst),
+                                                 plan.key_cols[p]);
+    }
+    return true;
+  }
+};
+
+// Canonical prefix signatures (DESIGN.md §13): sigs[p] encodes everything
+// that determines the binding matrix after step p — per placed instance its
+// table, local predicates, and (for p >= 1) the join-key wiring in
+// plan-position space. Plan positions, not instance ids, so two candidates
+// sharing a prefix shape alias regardless of numbering; projections are
+// deliberately absent (they only shape the final projection, never the
+// intermediates). `iface` (guard walk only) appends each level's interface
+// spec, cumulatively: a guard level's bindings depend on every earlier
+// level's dedup, so two candidates alias only when all of them agree.
+std::vector<SubplanCache::Signature> PrefixSignatures(
+    const BlockContext& ctx,
+    const std::vector<std::vector<PlanColumn>>* iface) {
+  const PJQuery& query = ctx.query;
+  const BlockPlan& plan = ctx.plan;
+  // The two strategies store differently shaped intermediates (deduped vs
+  // full); the leading flag keeps the two universes from aliasing.
+  SubplanCache::Signature enc{kSubplanSigVersion, iface != nullptr ? 1u : 0u};
+  std::vector<SubplanCache::Signature> sigs(plan.size());
+  for (size_t p = 0; p < plan.size(); ++p) {
+    const InstanceId inst = plan.order[p];
+    enc.push_back(static_cast<uint32_t>(query.instance_table(inst)));
+    // Join-key wiring in (source position, source column, local column)
+    // triples, canonically sorted: candidates declaring the same joins in a
+    // different order produce the same matches in the same order.
+    std::vector<std::array<uint32_t, 3>> wiring;
+    for (size_t k = 0; k < plan.key_cols[p].size(); ++k) {
+      // Folded selection components are omitted: they derive
+      // deterministically from the selections encoded just below.
+      if (plan.key_sources[p][k].first < 0) continue;
+      wiring.push_back({static_cast<uint32_t>(plan.key_sources[p][k].first),
+                        static_cast<uint32_t>(plan.key_sources[p][k].second),
+                        static_cast<uint32_t>(plan.key_cols[p][k])});
+    }
+    std::sort(wiring.begin(), wiring.end());
+    enc.push_back(static_cast<uint32_t>(wiring.size()));
+    for (const auto& w : wiring) enc.insert(enc.end(), w.begin(), w.end());
+    // Local predicates, canonically sorted.
+    std::vector<std::pair<uint32_t, uint32_t>> sels, selfs;
+    for (const auto& s : query.selections()) {
+      if (s.instance == inst) sels.emplace_back(s.column, s.value);
+    }
+    for (const auto& j : query.joins()) {
+      if (j.a == inst && j.b == inst) selfs.emplace_back(j.col_a, j.col_b);
+    }
+    std::sort(sels.begin(), sels.end());
+    std::sort(selfs.begin(), selfs.end());
+    enc.push_back(static_cast<uint32_t>(sels.size()));
+    for (const auto& [c, v] : sels) {
+      enc.push_back(c);
+      enc.push_back(v);
+    }
+    enc.push_back(static_cast<uint32_t>(selfs.size()));
+    for (const auto& [a, b] : selfs) {
+      enc.push_back(a);
+      enc.push_back(b);
+    }
+    if (iface != nullptr) {
+      const auto& spec = (*iface)[p];
+      enc.push_back(static_cast<uint32_t>(spec.size()));
+      for (const auto& [ip, ic] : spec) {
+        enc.push_back(static_cast<uint32_t>(ip));
+        enc.push_back(static_cast<uint32_t>(ic));
       }
-      // det: order-insensitive — canonicalized for signature stability.
-      std::sort(spec.begin(), spec.end());
-      spec.erase(std::unique(spec.begin(), spec.end()), spec.end());
+    }
+    sigs[p] = enc;
+  }
+  return sigs;
+}
+
+// First-of-class filter over one guard-walk level, applied as the level's
+// bindings are produced. A binding influences the rest of the walk solely
+// through its interface values — the columns later steps' join keys read
+// plus the projection columns placed so far. Bindings equal on those produce
+// identical projected-tuple sequences downstream, so keeping only the first
+// of each class preserves the distinct-tuple set AND its first-occurrence
+// order (a dropped binding's tuples were already emitted, in order, by its
+// earlier representative). This collapses chain joins from row-pair counts
+// to distinct-value counts — the multiplicative shrink the extras check
+// lives on.
+class ClassDedup {
+ public:
+  // `spec`: the level's interface, in (plan position, column) pairs.
+  void Init(const BlockContext& ctx, const std::vector<PlanColumn>& spec) {
+    for (const auto& [p, c] : spec) {
+      pos_.push_back(p);
+      cols_.push_back(ctx.Column(p, c));
+    }
+    key_.assign(spec.size(), 0);
+    classes_ = TupleSet(spec.size());
+  }
+
+  // True when `binding` (RowIds by plan position) opens a new class, or
+  // once the dedup has bailed out. Adds the class set's growth to *bytes.
+  bool Admit(const RowId* binding, uint64_t* bytes) {
+    if (!active_) return true;
+    // Adaptive bail-out: when the first sample of bindings is mostly
+    // distinct classes, the set cannot shrink the level enough to pay for
+    // its hashing, so the level stops deduping (duplicates are harmless:
+    // later levels and the leaf's dedup set absorb them). The decision
+    // depends only on the level's production sequence, itself a function
+    // of the prefix signature and the data, so a live walk and one resumed
+    // from the subplan cache agree on it.
+    if (examined_ == kDedupSampleRows &&
+        classes_.size() > kDedupSampleRows / 2) {
+      active_ = false;
+      return true;
+    }
+    ++examined_;
+    FillKey(binding);
+    if (!classes_.Insert(key_.data())) return false;
+    const size_t now = classes_.EstimatedBytes();
+    *bytes += now - accounted_;
+    accounted_ = now;
+    return true;
+  }
+
+  // True when `binding`'s class was already admitted. Only meaningful when
+  // the level's own instance is not in the spec, so that the parent binding
+  // alone fixes the class.
+  bool Seen(const RowId* binding) {
+    if (!active_) return false;
+    FillKey(binding);
+    return classes_.Contains(key_.data());
+  }
+
+ private:
+  void FillKey(const RowId* binding) {
+    for (size_t j = 0; j < pos_.size(); ++j) {
+      key_[j] = cols_[j][binding[pos_[j]]];
     }
   }
 
-  if (cache != nullptr) {
-    // The guard path stores interface-deduped intermediates, the plain path
-    // full ones; the leading flag keeps the two universes from aliasing.
-    SubplanCache::Signature enc{kSubplanSigVersion, stream_last ? 1u : 0u};
-    sigs.resize(n);
-    for (size_t p = 0; p < n; ++p) {
-      const InstanceId inst = order[p];
-      enc.push_back(static_cast<uint32_t>(query.instance_table(inst)));
-      // Join-key wiring in (source position, source column, local column)
-      // triples, canonically sorted: candidates declaring the same joins in
-      // a different order produce the same matches in the same order.
-      std::vector<std::array<uint32_t, 3>> wiring;
-      for (size_t k = 0; k < key_cols[p].size(); ++k) {
-        // Folded selection components are omitted: they derive
-        // deterministically from the selections encoded just below.
-        if (key_sources[p][k].first < 0) continue;
-        wiring.push_back({static_cast<uint32_t>(key_sources[p][k].first),
-                          static_cast<uint32_t>(key_sources[p][k].second),
-                          static_cast<uint32_t>(key_cols[p][k])});
+  std::vector<int> pos_;
+  std::vector<const ValueId*> cols_;
+  std::vector<ValueId> key_;
+  // gov: charged — Admit reports every growth of EstimatedBytes(), which
+  // the walk charges as "block-buffer".
+  TupleSet classes_;
+  size_t accounted_ = 0;
+  size_t examined_ = 0;
+  bool active_ = true;
+};
+
+// Step 0: filters the start table's rows into `rows`, one morsel-sized chunk
+// at a time (per-chunk interrupt polls; the scan itself is cheap). `dedup`
+// (may be null) keeps only the first row of each interface class.
+Status ScanStart(BlockContext& ctx, ClassDedup* dedup,
+                 std::vector<RowId>* rows) {
+  const Table& t0 = ctx.db.table(ctx.query.instance_table(ctx.plan.order[0]));
+  LocalFilters filters;
+  filters.Build(ctx.db, ctx.query, ctx.plan.order[0],
+                /*include_selections=*/true);
+  const SipFilters sip = ctx.ResolveSip(0);
+  const size_t t0_rows = t0.num_rows();
+  const size_t morsel = ctx.policy.MorselSize();
+  uint64_t pending = 0;
+  uint64_t skips = 0;
+  for (size_t lo = 0; lo < t0_rows; lo += morsel) {
+    if (ctx.interrupt && ctx.interrupt()) return Interrupted();
+    const size_t hi = std::min(t0_rows, lo + morsel);
+    for (RowId r = static_cast<RowId>(lo); r < hi; ++r) {
+      if (!filters.Passes(r)) continue;
+      if (!sip.Passes(r)) {
+        ++skips;
+        continue;
       }
-      std::sort(wiring.begin(), wiring.end());
-      enc.push_back(static_cast<uint32_t>(wiring.size()));
-      for (const auto& w : wiring) enc.insert(enc.end(), w.begin(), w.end());
-      // Local predicates, canonically sorted.
-      std::vector<std::pair<uint32_t, uint32_t>> sels, selfs;
-      for (const auto& s : query.selections()) {
-        if (s.instance == inst) sels.emplace_back(s.column, s.value);
-      }
-      for (const auto& j : query.joins()) {
-        if (j.a == inst && j.b == inst) selfs.emplace_back(j.col_a, j.col_b);
-      }
-      std::sort(sels.begin(), sels.end());
-      std::sort(selfs.begin(), selfs.end());
-      enc.push_back(static_cast<uint32_t>(sels.size()));
-      for (const auto& [c, v] : sels) {
-        enc.push_back(c);
-        enc.push_back(v);
-      }
-      enc.push_back(static_cast<uint32_t>(selfs.size()));
-      for (const auto& [a, b] : selfs) {
-        enc.push_back(a);
-        enc.push_back(b);
-      }
-      sigs[p] = enc;
-      if (stream_last) {
-        sigs[p].push_back(static_cast<uint32_t>(iface[p].size()));
-        for (const auto& [ip, ic] : iface[p]) {
-          sigs[p].push_back(static_cast<uint32_t>(ip));
-          sigs[p].push_back(static_cast<uint32_t>(ic));
-        }
-      }
+      if (dedup != nullptr && !dedup->Admit(&r, &pending)) continue;
+      rows->push_back(r);
+      pending += sizeof(RowId);
+    }
+    if (!ctx.ChargeQuantum(&pending)) return OverBudget();
+  }
+  if (!ctx.ChargeQuantum(&pending, /*all=*/true)) return OverBudget();
+  ctx.sip_skipped.fetch_add(skips, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+// The projection columns, resolved to raw pointers, plus the output table's
+// schema (colliding source names get a trailing '_').
+struct Projection {
+  std::vector<const ValueId*> data;
+  std::vector<int> pos;  // plan position of each projected instance
+
+  Status Build(const BlockContext& ctx, Table* out) {
+    std::unordered_set<std::string> used_names;
+    for (const auto& proj : ctx.query.projections()) {
+      const Column& src = ctx.db.table(ctx.query.instance_table(proj.instance))
+                              .column(proj.column);
+      std::string col_name = src.name();
+      while (used_names.count(col_name) > 0) col_name += "_";
+      used_names.insert(col_name);
+      FASTQRE_RETURN_NOT_OK(out->AddColumn(col_name, src.type()));
+      data.push_back(src.data().data());
+      pos.push_back(ctx.plan.pos[proj.instance]);
+    }
+    return Status::OK();
+  }
+
+  void Fill(const RowId* binding, ValueId* tuple) const {
+    for (size_t i = 0; i < data.size(); ++i) {
+      tuple[i] = data[i][binding[pos[i]]];
     }
   }
+};
+
+// Bytes charged per distinct output tuple: dedup-set entry, stored tuple and
+// output-row estimate.
+uint64_t OutputTupleBytes(size_t width) {
+  return 2 * width * sizeof(ValueId) + 48;
+}
+
+// The plain path: materialize every join step with morsel-driven hash joins,
+// then project and dedupe. No early exit of any kind.
+Result<Table> MaterializeAll(BlockContext& ctx, const std::string& name,
+                             BlockRunStats* run_stats) {
+  const Database& db = ctx.db;
+  const PJQuery& query = ctx.query;
+  const ExecPolicy& policy = ctx.policy;
+  const BlockPlan& plan = ctx.plan;
+  const size_t n = plan.size();
+  const size_t morsel = policy.MorselSize();
+
+  // Shared stop flag: set by whichever morsel first observes an interrupt, a
+  // refused charge, or the intermediate cap; later morsels exit immediately.
+  // Relaxed suffices — the flag guards no data (per-morsel buffers are
+  // published by the RunMorsels join) and the first-cause CAS is exact.
+  std::atomic<int> stop{kRunning};
+  auto raise_stop = [&stop](int cause) {
+    int expected = kRunning;
+    (void)stop.compare_exchange_strong(expected, cause,
+                                       std::memory_order_relaxed,
+                                       std::memory_order_relaxed);
+  };
+  auto stop_status = [&stop]() {
+    switch (stop.load(std::memory_order_relaxed)) {
+      case kStopMemory:
+        return OverBudget();
+      case kStopCap:
+        return OverCap();
+      default:
+        return Interrupted();
+    }
+  };
+  // Approximate running total of appended intermediate rows, for the
+  // in-worker cap guard; the exact (configuration-independent) cap verdict
+  // is re-checked on the merged total after each step.
+  std::atomic<size_t> produced{0};
+
+  SubplanCache* cache = policy.subplan_cache;
+  std::vector<SubplanCache::Signature> sigs;
+  if (cache != nullptr) sigs = PrefixSignatures(ctx, /*iface=*/nullptr);
 
   // Intermediate relation: a flat row-major matrix, one RowId per placed
   // instance per row. Flat (instead of a vector per row) so morsel workers
@@ -432,7 +664,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
   // Accessed through a pointer so a memoized prefix can be consumed in
   // place (pinned, immutable) without copying it out of the cache.
   // gov: charged — every locally appended row's bytes flow through the
-  // per-morsel quantum flushes below (released by charge_guard); cache-
+  // per-morsel quantum flushes below (released by ~BlockContext); cache-
   // served rows stay charged to the cache's own "subplan-build" budget.
   std::vector<RowId> rows_storage;
   const std::vector<RowId>* rows = &rows_storage;
@@ -440,58 +672,23 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
   size_t start_step = 1;
   SubplanCache::Handle prefix_pin;  // keeps a hit alive while we read it
 
-  // Collapses rows_storage (the intermediate after step p) to the first
-  // binding of each interface-value class. Serial over the merged buffer, so
-  // the kept set is identical at any thread count / morsel size.
-  auto iface_dedup = [&](size_t p) {
-    if (!stream_last || p + 1 >= n) return;
-    const auto& spec = iface[p];
-    const size_t w = p + 1;
-    const size_t count = rows_storage.size() / w;
-    std::vector<const ValueId*> icol(spec.size());
-    std::vector<int> ipos(spec.size());
-    for (size_t j = 0; j < spec.size(); ++j) {
-      ipos[j] = spec[j].first;
-      icol[j] = db.table(query.instance_table(order[spec[j].first]))
-                    .column(spec[j].second)
-                    .data()
-                    .data();
-    }
-    // Grows from small: few classes survive, and the sample bail-out below
-    // often stops the pass after kDedupSampleRows bindings.
-    // gov: bounded — interface keys of an already-charged intermediate,
-    // freed at scope exit; `kept` never outgrows the buffer it replaces.
-    TupleSet classes(spec.size());
-    std::vector<RowId> kept;
-    std::vector<ValueId> ikey(spec.size());
-    for (size_t i = 0; i < count; ++i) {
-      // Adaptive bail-out: when the first sample of bindings is mostly
-      // distinct classes, the pass cannot shrink the intermediate enough to
-      // pay for itself — keep the buffer as is (duplicates are harmless:
-      // downstream steps and the final dedup set absorb them). The decision
-      // depends only on the data and the interface spec, so two executions
-      // of the same prefix — live or via the subplan cache — agree on it.
-      if (i == kDedupSampleRows && kept.size() / w > kDedupSampleRows / 2) {
-        return;
-      }
-      const RowId* binding = rows_storage.data() + i * w;
-      for (size_t j = 0; j < spec.size(); ++j) {
-        ikey[j] = icol[j][binding[ipos[j]]];
-      }
-      if (classes.Insert(ikey.data())) {
-        kept.insert(kept.end(), binding, binding + w);
-      }
-    }
-    rows_storage.swap(kept);
+  // Offers the intermediate after step p to the cache (never the final step
+  // — the full join is the result, not a reusable prefix). WantsInsert gates
+  // the snapshot copy on admission, so one-shot prefixes cost nothing extra;
+  // Insert re-checks and charges "subplan-build" (also the fault site).
+  auto offer = [&](size_t p) {
+    if (cache == nullptr || p + 1 >= n || !cache->WantsInsert(sigs[p])) return;
+    auto snap = std::make_shared<SubplanTable>();
+    snap->rows = rows_storage;
+    snap->width = width;
+    snap->enumerated = produced.load(std::memory_order_relaxed);
+    snap->bytes = sizeof(SubplanTable) + snap->rows.capacity() * sizeof(RowId);
+    (void)cache->Insert(sigs[p], std::move(snap));
   };
 
-  // Probe the cache deepest-prefix-first. Prefixes after the last join step
-  // are never cached (the full join is the result, not a reusable prefix).
-  // The step-0 scan is: interface dedup collapses it to its distinct class
-  // representatives, so convoy candidates sharing a start table skip both
-  // the rescan and the dedup pass. Every probe counts toward the admission
-  // threshold, so the second candidate of a convoy stores what the third
-  // consumes.
+  // Probe the cache deepest-prefix-first. Every probe counts toward the
+  // admission threshold, so the second candidate of a convoy stores what the
+  // third consumes.
   if (cache != nullptr && n >= 2) {
     for (int p = static_cast<int>(n) - 2; p >= 0; --p) {
       SubplanCache::Handle handle = cache->Lookup(sigs[p]);
@@ -508,100 +705,20 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
       }
     }
   }
-
-  // Step 0: filter the start table's rows, one morsel-sized chunk at a time
-  // (per-chunk interrupt polls; the scan itself is cheap). Skipped entirely
-  // when a memoized prefix already covers it.
   if (prefix_pin == nullptr) {
-    const Table& t0 = db.table(query.instance_table(order[0]));
-    LocalFilters filters;
-    filters.Build(db, query, order[0], /*include_selections=*/true);
-    const SipFilters sip = resolve_sip(0);
-    const size_t t0_rows = t0.num_rows();
-    uint64_t pending = 0;
-    uint64_t skips = 0;
-    for (size_t lo = 0; lo < t0_rows; lo += morsel) {
-      if (interrupt && interrupt()) return stop_status();
-      const size_t hi = std::min(t0_rows, lo + morsel);
-      for (RowId r = static_cast<RowId>(lo); r < hi; ++r) {
-        if (!filters.Passes(r)) continue;
-        if (!sip.Passes(r)) {
-          ++skips;
-          continue;
-        }
-        rows_storage.push_back(r);
-        pending += sizeof(RowId);
-      }
-      if (governor != nullptr && pending >= kChargeQuantumBytes) {
-        if (!governor->TryCharge(pending, "block-buffer")) {
-          return Status::ResourceExhausted(
-              "block evaluation exceeded the memory budget");
-        }
-        charged_bytes.fetch_add(pending, std::memory_order_relaxed);
-        pending = 0;
-      }
-    }
-    if (governor != nullptr && pending > 0) {
-      if (!governor->TryCharge(pending, "block-buffer")) {
-        return Status::ResourceExhausted(
-            "block evaluation exceeded the memory budget");
-      }
-      charged_bytes.fetch_add(pending, std::memory_order_relaxed);
-    }
-    sip_skipped.fetch_add(skips, std::memory_order_relaxed);
-    iface_dedup(0);
-    // Offer the (possibly interface-deduped) scan like any other prefix;
-    // WantsInsert gates the snapshot on admission, Insert charges
-    // "subplan-build".
-    if (cache != nullptr && n >= 2 && cache->WantsInsert(sigs[0])) {
-      auto snap = std::make_shared<SubplanTable>();
-      snap->rows = rows_storage;
-      snap->width = 1;
-      snap->enumerated = produced.load(std::memory_order_relaxed);
-      snap->bytes =
-          sizeof(SubplanTable) + snap->rows.capacity() * sizeof(RowId);
-      (void)cache->Insert(sigs[0], std::move(snap));
-    }
+    FASTQRE_RETURN_NOT_OK(ScanStart(ctx, /*dedup=*/nullptr, &rows_storage));
+    offer(0);
   }
 
-  for (size_t p = start_step; p < last_materialized; ++p) {
-    InstanceId inst = order[p];
-    // Build side of the hash join: interruptible, so a deadline or Cancel()
-    // lands inside a large index build instead of after it (DESIGN.md §13).
-    const HashIndex* index_ptr = db.TryGetOrBuildIndex(
-        query.instance_table(inst), key_cols[p], interrupt);
-    if (index_ptr == nullptr) return stop_status();
-    const HashIndex& index = *index_ptr;
-    LocalFilters filters;
-    filters.Build(db, query, inst, /*include_selections=*/false);
-    const SipFilters sip = resolve_sip(p);
-    // Key-source columns resolved to raw pointers once per step.
-    const size_t kw = key_sources[p].size();
-    std::vector<int> src_pos(kw);
-    std::vector<const ValueId*> src_data(kw);
-    std::vector<ValueId> src_const(kw, 0);
-    for (size_t k = 0; k < kw; ++k) {
-      src_pos[k] = key_sources[p][k].first;
-      if (src_pos[k] < 0) {
-        // Folded selection: a constant key component, no source column.
-        src_data[k] = nullptr;
-        src_const[k] = static_cast<ValueId>(key_sources[p][k].second);
-        continue;
-      }
-      src_data[k] =
-          db.table(query.instance_table(order[key_sources[p][k].first]))
-              .column(key_sources[p][k].second)
-              .data()
-              .data();
+  for (size_t p = start_step; p < n; ++p) {
+    ProbeStep step;
+    // The composite-key filter serves the scalar kernel only: the batched
+    // kernel amortizes misses inside LookupBatch.
+    if (!ctx.ResolveStep(p, /*use_key_filter=*/!policy.batch_probes, &step)) {
+      return Interrupted();
     }
-
-    // Composite-key SIP for the scalar kernel (the batched kernel amortizes
-    // misses inside LookupBatch, and with memoization on these steps are
-    // usually cache hits anyway). Output-neutral: only empty probes skip.
-    const CompositeKeyFilter* key_filter =
-        policy.use_sip && !policy.batch_probes && kw >= 2
-            ? &db.GetOrBuildKeyFilter(query.instance_table(inst), key_cols[p])
-            : nullptr;
+    const HashIndex& index = *step.index;
+    const size_t kw = step.key_width();
     const std::vector<RowId>& drv = *rows;
     const size_t w = width;
     const size_t count = drv.size() / w;
@@ -609,7 +726,7 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
     // Per-morsel result buffers, merged in morsel-index order below — the
     // determinism backbone of DESIGN.md §12.
     // gov: charged — each worker flushes its buffer's bytes in 64 KB quanta
-    // ("block-buffer"); released in full by charge_guard.
+    // ("block-buffer"); released in full by ~BlockContext.
     std::vector<std::vector<RowId>> morsel_out(num_morsels);
 
     // One morsel: probe driving rows [m*morsel, ...) against the step index
@@ -619,14 +736,14 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
       // Fault site "morsel-worker": fires once per morsel. An injected
       // alloc-fail models this worker's first refused quantum; cancel lands
       // at the interrupt poll just below (DESIGN.md §11).
-      if (governor != nullptr &&
-          governor->FaultPointAllocFails("morsel-worker")) {
+      if (ctx.governor != nullptr &&
+          ctx.governor->FaultPointAllocFails("morsel-worker")) {
         raise_stop(kStopMemory);
         return;
       }
       // Per-morsel interrupt poll: a deadline or Cancel() is honored within
       // one morsel of work, and never mid-merge.
-      if (interrupt && interrupt()) {
+      if (ctx.interrupt && ctx.interrupt()) {
         raise_stop(kStopInterrupt);
         return;
       }
@@ -635,13 +752,6 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
       std::vector<RowId>& out = morsel_out[m];
       uint64_t pending = 0;
       uint64_t skips = 0;
-      auto flush = [&]() {
-        if (governor == nullptr || pending == 0) return true;
-        if (!governor->TryCharge(pending, "block-buffer")) return false;
-        charged_bytes.fetch_add(pending, std::memory_order_relaxed);
-        pending = 0;
-        return true;
-      };
       auto append_match = [&](size_t di, RowId match) {
         const RowId* binding = drv.data() + di * w;
         out.insert(out.end(), binding, binding + w);
@@ -656,11 +766,11 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
         // row order) is exactly the scalar kernel's.
         std::vector<ValueId> keys((hi - lo) * kw);
         for (size_t k = 0; k < kw; ++k) {
-          const ValueId* col = src_data[k];
-          const int sp = src_pos[k];
+          const ValueId* col = step.src_data[k];
+          const int sp = step.src_pos[k];
           if (sp < 0) {
             for (size_t i = lo; i < hi; ++i) {
-              keys[(i - lo) * kw + k] = src_const[k];
+              keys[(i - lo) * kw + k] = step.src_const[k];
             }
             continue;
           }
@@ -686,14 +796,14 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
             const RowId* mb = matches.begin_of(i);
             const RowId* me = matches.end_of(i);
             for (const RowId* r = mb; r < me; ++r) {
-              if (!filters.Passes(*r)) continue;
-              if (!sip.Passes(*r)) {
+              if (!step.filters.Passes(*r)) continue;
+              if (!step.sip.Passes(*r)) {
                 ++skips;
                 continue;
               }
               append_match(di, *r);
             }
-            if (pending >= kChargeQuantumBytes && !flush()) {
+            if (!ctx.ChargeQuantum(&pending)) {
               raise_stop(kStopMemory);
               return;
             }
@@ -705,12 +815,9 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
         // baseline), restricted to this morsel's driving slice.
         std::vector<ValueId> key(kw);
         for (size_t di = lo; di < hi; ++di) {
-          for (size_t k = 0; k < kw; ++k) {
-            key[k] = src_pos[k] < 0 ? src_const[k]
-                                    : src_data[k][drv[di * w + src_pos[k]]];
-          }
-          if (key_filter != nullptr &&
-              !key_filter->MayContain(key.data(), kw)) {
+          step.FillKey(drv.data() + di * w, key.data());
+          if (step.key_filter != nullptr &&
+              !step.key_filter->MayContain(key.data(), kw)) {
             ++skips;
             continue;
           }
@@ -722,21 +829,23 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
             return;
           }
           for (RowId match : match_rows) {
-            if (!filters.Passes(match)) continue;
-            if (!sip.Passes(match)) {
+            if (!step.filters.Passes(match)) continue;
+            if (!step.sip.Passes(match)) {
               ++skips;
               continue;
             }
             append_match(di, match);
           }
-          if (pending >= kChargeQuantumBytes && !flush()) {
+          if (!ctx.ChargeQuantum(&pending)) {
             raise_stop(kStopMemory);
             return;
           }
         }
       }
-      if (skips > 0) sip_skipped.fetch_add(skips, std::memory_order_relaxed);
-      if (!flush()) raise_stop(kStopMemory);
+      if (skips > 0) {
+        ctx.sip_skipped.fetch_add(skips, std::memory_order_relaxed);
+      }
+      if (!ctx.ChargeQuantum(&pending, /*all=*/true)) raise_stop(kStopMemory);
     };
 
     RunMorsels(policy.WantsParallel(count) ? policy.pool : nullptr,
@@ -750,15 +859,12 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
     // thread count.
     size_t total = 0;
     for (const auto& buf : morsel_out) total += buf.size();
-    if (total / (w + 1) > kMaxIntermediateRows) {
-      return Status::ResourceExhausted(
-          "block evaluation exceeded the intermediate-size cap");
-    }
+    if (total / (w + 1) > kMaxIntermediateRows) return OverCap();
     if (num_morsels == 1) {
       rows_storage = std::move(morsel_out[0]);
     } else {
       // gov: charged — replaced buffer; its bytes were charged above and the
-      // cumulative total is released by charge_guard at exit.
+      // cumulative total is released by ~BlockContext.
       std::vector<RowId> merged;
       merged.reserve(total);
       for (auto& buf : morsel_out) {
@@ -769,230 +875,328 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
     rows = &rows_storage;
     prefix_pin.reset();  // a consumed hit is no longer read past its step
     width = w + 1;
-    iface_dedup(p);
-
-    // Offer the finished prefix to the cache (never the final step — the
-    // full join is the result, not a reusable prefix). WantsInsert gates the
-    // snapshot copy on admission, so one-shot prefixes cost nothing extra;
-    // Insert re-checks and charges "subplan-build" (also the fault site).
-    if (cache != nullptr && p + 1 < n && cache->WantsInsert(sigs[p])) {
-      auto snap = std::make_shared<SubplanTable>();
-      snap->rows = rows_storage;
-      snap->width = width;
-      snap->enumerated = produced.load(std::memory_order_relaxed);
-      snap->bytes =
-          sizeof(SubplanTable) + snap->rows.capacity() * sizeof(RowId);
-      (void)cache->Insert(sigs[p], std::move(snap));
-    }
+    offer(p);
   }
 
   // Project and dedupe: serial (first-occurrence order defines the output
   // table byte-for-byte), chunked per morsel for the interrupt poll.
   Table out(name, db.dictionary());
-  std::unordered_set<std::string> used_names;
-  std::vector<const ValueId*> proj_data(query.projections().size());
-  std::vector<int> proj_pos(query.projections().size());
-  for (size_t i = 0; i < query.projections().size(); ++i) {
-    const auto& proj = query.projections()[i];
-    const Column& src =
-        db.table(query.instance_table(proj.instance)).column(proj.column);
-    std::string col_name = src.name();
-    while (used_names.count(col_name) > 0) col_name += "_";
-    used_names.insert(col_name);
-    FASTQRE_RETURN_NOT_OK(out.AddColumn(col_name, src.type()));
-    proj_data[i] = src.data().data();
-    proj_pos[i] = pos[proj.instance];
-  }
+  Projection proj;
+  FASTQRE_RETURN_NOT_OK(proj.Build(ctx, &out));
   const std::vector<RowId>& fin = *rows;
   const size_t out_count = width == 0 ? 0 : fin.size() / width;
-  // On the guard path the distinct-tuple set is bounded by the guard itself
-  // (the first tuple past it ends the run), so size for that instead of the
-  // worst-case row count.
   // gov: charged — dedup-set bytes accumulate in `pending` below.
   TupleSet seen(query.projections().size());
-  seen.reserve(subset_guard != nullptr ? subset_guard->size() + 1 : out_count);
+  seen.reserve(out_count);
   std::vector<ValueId> tuple(query.projections().size());
   uint64_t pending = 0;
-  auto finish_stats = [&]() {
-    if (run_stats == nullptr) return;
+  for (size_t lo = 0; lo < out_count; lo += morsel) {
+    if (ctx.interrupt && ctx.interrupt()) return Interrupted();
+    const size_t hi = std::min(out_count, lo + morsel);
+    for (size_t bi = lo; bi < hi; ++bi) {
+      proj.Fill(fin.data() + bi * width, tuple.data());
+      if (seen.Insert(tuple.data())) {
+        out.AppendRowIds(tuple);
+        pending += OutputTupleBytes(tuple.size());
+      }
+    }
+    if (!ctx.ChargeQuantum(&pending)) return OverBudget();
+  }
+  if (!ctx.ChargeQuantum(&pending, /*all=*/true)) return OverBudget();
+  if (run_stats != nullptr) {
     run_stats->rows_enumerated = produced.load(std::memory_order_relaxed);
-    run_stats->sip_rows_skipped = sip_skipped.load(std::memory_order_relaxed);
+    run_stats->sip_rows_skipped =
+        ctx.sip_skipped.load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+// The guard path (exact extras check): a serial depth-first walk that stops
+// at the first projected tuple outside `guard` (DESIGN.md §13).
+//
+// From each binding of the root — the deepest cached prefix, or the step-0
+// scan — the walk extends one level at a time: a per-binding index lookup,
+// then that level's local, SIP and composite-key filters, then the level's
+// interface dedup; the leaf projects, dedupes and guard-checks. Children are
+// visited in (driving row, match row, ...) order, the order in which the
+// materializing path lays out each level and streams its leaves, so the
+// distinct-tuple sequence, and with it the verdict and a non-violating
+// output table, is byte-identical to materialize-then-project.
+Result<Table> GuardedWalk(BlockContext& ctx, const std::string& name,
+                          const TupleSet& guard, bool* violated,
+                          BlockRunStats* run_stats) {
+  const PJQuery& query = ctx.query;
+  const BlockPlan& plan = ctx.plan;
+  const size_t n = plan.size();
+  const size_t leaf = n - 1;
+
+  // Interface spec per level (see ClassDedup): iface[p] lists the (plan
+  // position, column) pairs of positions <= p that a later step's join key
+  // or a projection reads. At the leaf that is the projection; the leaf's
+  // dedup is the projected-tuple set.
+  std::vector<std::vector<PlanColumn>> iface(n);
+  for (size_t p = 0; p < n; ++p) {
+    auto& spec = iface[p];
+    for (size_t q = p + 1; q < n; ++q) {
+      for (const auto& [sp, sc] : plan.key_sources[q]) {
+        // sp < 0 is a folded selection constant, not a prefix column.
+        if (sp >= 0 && sp <= static_cast<int>(p)) spec.emplace_back(sp, sc);
+      }
+    }
+    for (const auto& proj : query.projections()) {
+      if (plan.pos[proj.instance] <= static_cast<int>(p)) {
+        spec.emplace_back(plan.pos[proj.instance], proj.column);
+      }
+    }
+    // det: order-insensitive — canonicalized for signature stability.
+    std::sort(spec.begin(), spec.end());
+    spec.erase(std::unique(spec.begin(), spec.end()), spec.end());
+  }
+
+  SubplanCache* cache = ctx.policy.subplan_cache;
+  std::vector<SubplanCache::Signature> sigs;
+  if (cache != nullptr) sigs = PrefixSignatures(ctx, &iface);
+
+  // Per level: the resolved probe step, the level's dedup, its cursor into
+  // the current parent's matches, and the bindings it keeps for the cache.
+  struct Level {
+    ProbeStep step;
+    ClassDedup dedup;  // unused at the leaf
+    // No later step or projection reads this level's instance, so every
+    // passing match of one parent is interchangeable: one proves existence.
+    bool exists_only = false;
+    // `kept` holds the level's deduped bindings, to be offered to the cache
+    // once complete: the scan's rows at level 0, and at walked levels the
+    // bindings of an admitted signature.
+    bool record = false;
+    // gov: charged — kept bindings' bytes are charged as "block-buffer"
+    // (by ScanStart, or through the walk's pending quantum).
+    std::vector<RowId> kept;
+    std::span<const RowId> matches;
+    size_t next = 0;
+    // Pre-filter matches this level enumerated (posting-list sizes); the
+    // intermediate-size cap applies to it per level.
+    uint64_t enumerated = 0;
   };
-  auto flush_pending = [&]() {
-    if (governor == nullptr || pending == 0) return true;
-    if (!governor->TryCharge(pending, "block-buffer")) return false;
-    charged_bytes.fetch_add(pending, std::memory_order_relaxed);
-    pending = 0;
-    return true;
+  std::vector<Level> levels(n);
+
+  // The root relation: the deepest cached prefix, or the step-0 scan. The
+  // scan stays materialized; it is complete before the walk starts, so it is
+  // offered to the cache whether or not the walk meets an extra tuple (but
+  // not when the call aborts: an aborted call leaves the cache as it found
+  // it). Cache-served roots stay charged to the cache's "subplan-build"
+  // budget.
+  const std::vector<RowId>* root = &levels[0].kept;
+  size_t first = 1;  // the first walked level; == n when the scan is the leaf
+  SubplanCache::Handle pin;  // keeps a hit alive while the walk reads it
+  if (cache != nullptr && n >= 2) {
+    for (int p = static_cast<int>(n) - 2; p >= 0; --p) {
+      SubplanCache::Handle handle = cache->Lookup(sigs[p]);
+      if (handle != nullptr) {
+        pin = std::move(handle);
+        root = &pin->rows;
+        first = p + 1;
+        if (run_stats != nullptr) ++run_stats->subplan_hits;
+        break;
+      }
+    }
+  }
+  if (pin == nullptr) {
+    ClassDedup dedup;
+    if (n >= 2) dedup.Init(ctx, iface[0]);
+    FASTQRE_RETURN_NOT_OK(
+        ScanStart(ctx, n >= 2 ? &dedup : nullptr, &levels[0].kept));
+    levels[0].record = n >= 2;
+  }
+  const size_t root_width = first;
+
+  size_t max_key_width = 0;
+  for (size_t q = first; q < n; ++q) {
+    Level& level = levels[q];
+    if (!ctx.ResolveStep(q, /*use_key_filter=*/true, &level.step)) {
+      return Interrupted();
+    }
+    max_key_width = std::max(max_key_width, level.step.key_width());
+    level.exists_only = std::none_of(
+        iface[q].begin(), iface[q].end(),
+        [q](const PlanColumn& c) { return c.first == static_cast<int>(q); });
+    if (q < leaf) {
+      level.dedup.Init(ctx, iface[q]);
+      // Admission is decided once, up front: the deepest-first probe above
+      // counted this call's request for every level it walks.
+      level.record = cache != nullptr && cache->WantsInsert(sigs[q]);
+    }
+  }
+  // Offers the complete levels in [from, to) to the cache.
+  auto offer = [&](size_t from, size_t to) {
+    if (cache == nullptr) return;
+    for (size_t q = from; q < to; ++q) {
+      if (!levels[q].record) continue;
+      auto snap = std::make_shared<SubplanTable>();
+      snap->rows = std::move(levels[q].kept);
+      snap->rows.shrink_to_fit();
+      snap->width = q + 1;
+      snap->bytes =
+          sizeof(SubplanTable) + snap->rows.capacity() * sizeof(RowId);
+      (void)cache->Insert(sigs[q], std::move(snap));
+    }
   };
 
-  if (stream_last) {
-    // Streamed final step (exact extras check): probe the last index one
-    // prefix binding at a time and project/dedupe/guard-check each match
-    // immediately. Serial — the early exit IS the optimization, and the
-    // memoized prefix already absorbed the parallel work.
-    const size_t p = n - 1;
-    const HashIndex* index_ptr = db.TryGetOrBuildIndex(
-        query.instance_table(order[p]), key_cols[p], interrupt);
-    if (index_ptr == nullptr) return stop_status();
-    const HashIndex& index = *index_ptr;
-    LocalFilters filters;
-    filters.Build(db, query, order[p], /*include_selections=*/false);
-    const SipFilters sip = resolve_sip(p);
-    const size_t kw = key_sources[p].size();
-    std::vector<int> src_pos(kw);
-    std::vector<const ValueId*> src_data(kw);
-    std::vector<ValueId> src_const(kw, 0);
-    for (size_t k = 0; k < kw; ++k) {
-      src_pos[k] = key_sources[p][k].first;
-      if (src_pos[k] < 0) {
-        // Folded selection: a constant key component, no source column.
-        src_data[k] = nullptr;
-        src_const[k] = static_cast<ValueId>(key_sources[p][k].second);
-        continue;
-      }
-      src_data[k] =
-          db.table(query.instance_table(order[key_sources[p][k].first]))
-              .column(key_sources[p][k].second)
-              .data()
-              .data();
+  Table out(name, ctx.db.dictionary());
+  Projection proj;
+  FASTQRE_RETURN_NOT_OK(proj.Build(ctx, &out));
+  // The distinct-tuple set is bounded by the guard itself (the first tuple
+  // past it ends the walk), so size for that instead of a row count.
+  // gov: charged — OutputTupleBytes per new tuple, through `pending`.
+  TupleSet seen(proj.data.size());
+  seen.reserve(guard.size() + 1);
+  std::vector<ValueId> tuple(proj.data.size());
+  std::vector<RowId> cur(n);  // the current path, one RowId per plan position
+  std::vector<ValueId> key(max_key_width);
+
+  const size_t morsel = ctx.policy.MorselSize();
+  uint64_t ticks = 0;  // roots plus lookups; the interrupt is polled per morsel
+  uint64_t pending = 0;
+  uint64_t skips = 0;
+  uint64_t enumerated = 0;
+  auto finish_stats = [&]() {
+    ctx.sip_skipped.fetch_add(skips, std::memory_order_relaxed);
+    if (run_stats == nullptr) return;
+    run_stats->rows_enumerated = enumerated;
+    run_stats->sip_rows_skipped =
+        ctx.sip_skipped.load(std::memory_order_relaxed);
+  };
+
+  const size_t root_count = root->size() / root_width;
+  for (size_t ri = 0; ri < root_count; ++ri) {
+    if (ticks++ % morsel == 0 && ctx.interrupt && ctx.interrupt()) {
+      return Interrupted();
     }
-    // Composite-key SIP (kw >= 2 only; a single-id key's slot probe compares
-    // the id stored in the slot, which a bit test cannot beat): most prefix
-    // bindings of a convoy candidate have no partner in the final table — on
-    // foreign-key data every component value exists, but the combination
-    // does not — so a cache-resident bit test rejects the miss before the
-    // slot-table probe.
-    // Output-neutral by construction: only provably-empty probes are
-    // skipped, and an empty probe contributes nothing to `produced` either.
-    const CompositeKeyFilter* key_filter =
-        policy.use_sip && kw >= 2
-            ? &db.GetOrBuildKeyFilter(query.instance_table(order[p]),
-                                      key_cols[p])
-            : nullptr;
-    const int final_pos = static_cast<int>(p);
-    const size_t count = width == 0 ? 0 : fin.size() / width;
-    // When no projection reads the probed instance, every match of one
-    // binding projects to the same tuple: the probe is an existence test.
-    // Then (a) a binding whose tuple was already emitted is skipped without
-    // probing — its matches cannot produce anything new — and (b) the match
-    // loop ends at the first passing match. The emitted sequence is
-    // unchanged: skipped bindings only re-produce duplicates, which the
-    // dedup set would have swallowed anyway.
-    bool final_has_proj = false;
-    for (int sp : proj_pos) {
-      if (sp == final_pos) final_has_proj = true;
-    }
-    std::vector<ValueId> key(kw);
-    uint64_t skips = 0;
-    for (size_t lo = 0; lo < count; lo += morsel) {
-      if (interrupt && interrupt()) {
-        return Status::ResourceExhausted("block evaluation interrupted");
-      }
-      const size_t hi = std::min(count, lo + morsel);
-      for (size_t di = lo; di < hi; ++di) {
-        const RowId* binding = fin.data() + di * width;
-        if (!final_has_proj) {
-          for (size_t i = 0; i < tuple.size(); ++i) {
-            tuple[i] = proj_data[i][binding[proj_pos[i]]];
+    std::copy_n(root->data() + ri * root_width, root_width, cur.data());
+    size_t q = first;
+    bool opening = first < n;  // the scan of a one-instance query is the leaf
+    bool at_leaf = first == n;
+    for (;;) {
+      if (opening) {
+        // Open level q below the current path cur[0..q).
+        opening = false;
+        Level& level = levels[q];
+        level.matches = {};
+        level.next = 0;
+        if (ticks++ % morsel == 0 && ctx.interrupt && ctx.interrupt()) {
+          return Interrupted();
+        }
+        // Existence shortcut: when this level's instance feeds nothing
+        // later, its class is fixed by the parent alone — if that class is
+        // already known, the lookup can only re-produce duplicates.
+        bool known = false;
+        if (level.exists_only) {
+          if (q == leaf) {
+            proj.Fill(cur.data(), tuple.data());
+            known = seen.Contains(tuple.data());
+          } else {
+            known = level.dedup.Seen(cur.data());
           }
-          if (seen.Contains(tuple.data())) continue;  // existence already known
         }
-        for (size_t k = 0; k < kw; ++k) {
-          key[k] =
-              src_pos[k] < 0 ? src_const[k] : src_data[k][binding[src_pos[k]]];
+        if (!known) {
+          const size_t kw = level.step.key_width();
+          level.step.FillKey(cur.data(), key.data());
+          if (level.step.key_filter != nullptr &&
+              !level.step.key_filter->MayContain(key.data(), kw)) {
+            ++skips;
+          } else {
+            level.matches = level.step.index->Lookup(
+                std::span<const ValueId>(key.data(), kw));
+            level.enumerated += level.matches.size();
+            enumerated += level.matches.size();
+            if (level.enumerated > kMaxIntermediateRows) return OverCap();
+          }
         }
-        if (key_filter != nullptr && !key_filter->MayContain(key.data(), kw)) {
+      }
+      if (!at_leaf) {
+        Level& level = levels[q];
+        if (level.next == level.matches.size()) {
+          if (q == first) break;  // this root's subtree is exhausted
+          --q;
+          continue;
+        }
+        const RowId m = level.matches[level.next++];
+        if (!level.step.filters.Passes(m)) continue;
+        if (!level.step.sip.Passes(m)) {
           ++skips;
           continue;
         }
-        const std::span<const RowId> match_rows = index.Lookup(key);
-        const size_t before =
-            produced.fetch_add(match_rows.size(), std::memory_order_relaxed);
-        if (before + match_rows.size() > kMaxIntermediateRows) {
-          return Status::ResourceExhausted(
-              "block evaluation exceeded the intermediate-size cap");
-        }
-        for (RowId match : match_rows) {
-          if (!filters.Passes(match)) continue;
-          if (!sip.Passes(match)) {
-            ++skips;
-            continue;
+        // One passing match proves existence; the rest are duplicates.
+        if (level.exists_only) level.next = level.matches.size();
+        cur[q] = m;
+        if (q < leaf) {
+          if (!level.dedup.Admit(cur.data(), &pending)) continue;
+          if (level.record) {
+            level.kept.insert(level.kept.end(), cur.begin(),
+                              cur.begin() + q + 1);
+            pending += (q + 1) * sizeof(RowId);
           }
-          if (final_has_proj) {
-            for (size_t i = 0; i < tuple.size(); ++i) {
-              const int sp = proj_pos[i];
-              tuple[i] = proj_data[i][sp == final_pos ? match : binding[sp]];
-            }
-          }
-          if (seen.Insert(tuple.data())) {
-            if (subset_guard->count(tuple) == 0) {
-              *subset_violated = true;
-              sip_skipped.fetch_add(skips, std::memory_order_relaxed);
-              finish_stats();
-              return out;
-            }
-            out.AppendRowIds(tuple);
-            pending += 2 * tuple.size() * sizeof(ValueId) + 48;
-          }
-          if (!final_has_proj) break;  // one passing match proves existence
+          if (!ctx.ChargeQuantum(&pending)) return OverBudget();
+          ++q;
+          opening = true;
+          continue;
         }
       }
-      if (pending >= kChargeQuantumBytes && !flush_pending()) {
-        return Status::ResourceExhausted(
-            "block evaluation exceeded the memory budget");
-      }
-    }
-    if (!flush_pending()) {
-      return Status::ResourceExhausted(
-          "block evaluation exceeded the memory budget");
-    }
-    sip_skipped.fetch_add(skips, std::memory_order_relaxed);
-    finish_stats();
-    return out;
-  }
-
-  for (size_t lo = 0; lo < out_count; lo += morsel) {
-    if (interrupt && interrupt()) {
-      return Status::ResourceExhausted("block evaluation interrupted");
-    }
-    const size_t hi = std::min(out_count, lo + morsel);
-    for (size_t bi = lo; bi < hi; ++bi) {
-      const RowId* binding = fin.data() + bi * width;
-      for (size_t i = 0; i < tuple.size(); ++i) {
-        tuple[i] = proj_data[i][binding[proj_pos[i]]];
-      }
+      // A complete binding: project, dedupe, guard-check.
+      at_leaf = false;
+      proj.Fill(cur.data(), tuple.data());
       if (seen.Insert(tuple.data())) {
-        if (subset_guard != nullptr && subset_guard->count(tuple) == 0) {
-          // Exact extras check: the candidate provably produces a tuple
-          // outside the guard set; no need to finish the projection.
-          *subset_violated = true;
+        if (guard.count(tuple) == 0) {
+          // The candidate provably produces a tuple outside the guard set.
+          // Only the scan is complete; the walked levels stopped midway.
+          *violated = true;
+          offer(0, first);
           finish_stats();
           return out;
         }
         out.AppendRowIds(tuple);
-        // Node + stored tuple + output-row estimate.
-        pending += 2 * tuple.size() * sizeof(ValueId) + 48;
+        pending += OutputTupleBytes(tuple.size());
+        if (!ctx.ChargeQuantum(&pending)) return OverBudget();
       }
-    }
-    if (governor != nullptr && pending >= kChargeQuantumBytes) {
-      if (!governor->TryCharge(pending, "block-buffer")) {
-        return Status::ResourceExhausted(
-            "block evaluation exceeded the memory budget");
-      }
-      charged_bytes.fetch_add(pending, std::memory_order_relaxed);
-      pending = 0;
+      if (first == n) break;  // the root binding was the leaf
     }
   }
-  if (governor != nullptr && pending > 0) {
-    if (!governor->TryCharge(pending, "block-buffer")) {
-      return Status::ResourceExhausted(
-          "block evaluation exceeded the memory budget");
-    }
-    charged_bytes.fetch_add(pending, std::memory_order_relaxed);
-  }
+  if (!ctx.ChargeQuantum(&pending, /*all=*/true)) return OverBudget();
+  // No violation: every recorded level holds its complete, deduped binding
+  // sequence.
+  offer(0, leaf);
   finish_stats();
   return out;
+}
+
+}  // namespace
+
+Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
+                           const std::string& name,
+                           std::function<bool()> interrupt,
+                           const ExecPolicy& policy,
+                           const TupleSet* subset_guard, bool* subset_violated,
+                           BlockRunStats* run_stats) {
+  if (query.num_instances() == 0) {
+    return Status::InvalidArgument("query has no instances");
+  }
+  if (!query.IsConnected()) {
+    return Status::InvalidArgument("query graph is disconnected (cross product)");
+  }
+  if (query.projections().empty()) {
+    return Status::InvalidArgument("query has no projection columns");
+  }
+  if (subset_guard != nullptr && subset_violated == nullptr) {
+    return Status::InvalidArgument("subset_guard requires subset_violated");
+  }
+  if (subset_violated != nullptr) *subset_violated = false;
+  FASTQRE_ASSIGN_OR_RETURN(BlockPlan plan,
+                           PlanJoins(db, query, policy.use_sip));
+  BlockContext ctx(db, query, policy, interrupt, std::move(plan));
+  if (subset_guard != nullptr) {
+    return GuardedWalk(ctx, name, *subset_guard, subset_violated, run_stats);
+  }
+  return MaterializeAll(ctx, name, run_stats);
 }
 
 }  // namespace fastqre

@@ -6,14 +6,16 @@
 // (Section 4.1), i.e. the behaviour of a conventional DBMS executing a
 // candidate query without a get-next interface. The naive baseline's
 // non-progressive validation uses this path; it is also a differential
-// oracle for the pipelined executor in tests, and (with a subplan cache)
-// the validator's exact extra-tuple check for convoy candidates.
+// oracle for the pipelined executor in tests. With a subset guard it is the
+// validator's exact extra-tuple check instead: a depth-first walk over the
+// same plan that stops at the first projected tuple outside the guard.
 //
-// Execution is morsel-driven (DESIGN.md §12): each join step partitions its
-// driving relation into fixed-size morsels, processed either on the calling
-// thread or on a shared ThreadPool per the ExecPolicy, with per-morsel
-// result buffers merged back in morsel-index order — so the output table is
-// byte-identical at any thread count, morsel size, or kernel choice.
+// Materializing execution is morsel-driven (DESIGN.md §12): each join step
+// partitions its driving relation into fixed-size morsels, processed either
+// on the calling thread or on a shared ThreadPool per the ExecPolicy, with
+// per-morsel result buffers merged back in morsel-index order — so the
+// output table is byte-identical at any thread count, morsel size, or
+// kernel choice. The guard walk is serial.
 //
 // Two sideways accelerations ride on the policy (DESIGN.md §13), both
 // semantics-preserving:
@@ -23,9 +25,11 @@
 //   * Subplan memoization (policy.subplan_cache): the intermediate after
 //     each join prefix is looked up / stored under a canonical prefix
 //     signature, so convoy candidates sharing a prefix resume from the
-//     deepest cached intermediate instead of rejoining from scratch. Hits
-//     replay the stored pre-filter enumeration count, keeping the
-//     intermediate-size-cap verdict cache-state invariant.
+//     deepest cached intermediate instead of rejoining from scratch. On the
+//     materializing path, hits replay the stored pre-filter enumeration
+//     count, keeping the intermediate-size-cap verdict cache-state
+//     invariant; the guard walk stores a level only after a walk that found
+//     no extra tuple, and caps each level separately.
 #pragma once
 
 #include <functional>
@@ -42,9 +46,12 @@ namespace fastqre {
 /// call returned OK or stopped at a subset-guard violation; error paths may
 /// leave it partially filled.
 struct BlockRunStats {
-  /// Pre-filter match rows enumerated across all join steps, including the
-  /// replayed counts of memoized prefixes (so the value is identical whether
-  /// a prefix was recomputed or served from cache).
+  /// Pre-filter match rows (index posting-list entries) enumerated across
+  /// all join steps. Without a guard it includes the replayed counts of
+  /// memoized prefixes, so the value is identical whether a prefix was
+  /// recomputed or served from cache. With a guard it counts only what this
+  /// call's walk looked up: a cache hit skips its prefix's work, so the
+  /// value depends on cache state (the verdict and the table do not).
   uint64_t rows_enumerated = 0;
   /// Rows skipped by SIP filters (each had a join value provably absent
   /// from some future join partner).
@@ -60,17 +67,22 @@ struct BlockRunStats {
 /// Unlike QueryCursor there is no early exit of any kind — the cost of the
 /// whole join is always paid, which is exactly the behaviour the
 /// progressive-evaluation component is designed to avoid — with one opt-in
-/// exception: when `subset_guard` is non-null, projection stops at the first
-/// distinct tuple NOT contained in the guard set, setting `*subset_violated`
-/// (which must be non-null then) and returning the partial table. That turns
-/// the block path into an exact extra-tuple check: guard = R_out, violation
-/// = the candidate produces a tuple outside it.
-/// `interrupt` (may be empty) is polled once per morsel of work — including
-/// inside hash-index builds this call triggers — and when it fires the
-/// evaluation stops with ResourceExhausted within one morsel.
+/// exception: when `subset_guard` is non-null, the call becomes an exact
+/// extra-tuple check (guard = R_out, violation = the candidate produces a
+/// tuple outside it). The join is then walked depth-first, one binding at a
+/// time, and the walk stops at the first distinct projected tuple NOT in the
+/// guard set, setting `*subset_violated` (which must be non-null then) and
+/// returning the partial table. Tuples are met in the materializing order,
+/// so the verdict is exact and a non-violating run returns the same table,
+/// byte for byte, as a guard-less call.
+/// `interrupt` (may be empty) is polled once per morsel of work — per
+/// morsel of driving rows, or per `morsel_size` index lookups of the guard
+/// walk, and inside hash-index builds this call triggers — and when it fires
+/// the evaluation stops with ResourceExhausted within one morsel.
 /// `policy` picks the probe kernels (scalar vs batched), the morsel dispatch
-/// (serial vs pool workers), SIP filtering, and subplan memoization; the
-/// returned table is byte-identical under every combination.
+/// (serial vs pool workers; the guard walk is always serial), SIP filtering,
+/// and subplan memoization; the returned table and the guard verdict are
+/// identical under every combination.
 /// `run_stats` (may be null) receives per-run counters.
 Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
                            const std::string& name,

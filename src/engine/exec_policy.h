@@ -28,14 +28,18 @@ struct ExecPolicy {
   /// Vectorized column probes: HashIndex::LookupBatch over dense key
   /// vectors, columnar candidate prefilters, and rebind-amortized point
   /// probes. Off = the legacy tuple-at-a-time kernels (ablation axis, E14).
+  /// The block executor's guard walk probes one binding at a time either
+  /// way.
   bool batch_probes = true;
 
   /// Total workers (including the calling thread) executing one candidate's
-  /// morsels; <= 1 keeps execution on the calling thread.
+  /// morsels; <= 1 keeps execution on the calling thread. The block
+  /// executor's guard walk (the exact extras check) is serial and ignores it.
   int intra_threads = 1;
 
   /// Driving-relation tuples per morsel — also the block executor's
-  /// interrupt-poll granularity.
+  /// interrupt-poll granularity (per morsel of rows, or of index lookups in
+  /// the guard walk).
   size_t morsel_size = kDefaultMorselSize;
 
   /// Smallest driving relation worth dispatching to the pool; below it the
@@ -54,8 +58,8 @@ struct ExecPolicy {
 
   /// Cross-candidate memo of block-execution join prefixes (DESIGN.md §13);
   /// not owned, may be null (no memoization — the --subplan-cache-mb 0
-  /// ablation cell). Hits replay the stored pre-filter enumeration count, so
-  /// every verdict is cache-state invariant.
+  /// ablation cell; every path still runs, only without resuming from a
+  /// stored prefix). Verdicts and answers are cache-state invariant.
   SubplanCache* subplan_cache = nullptr;
 
   /// The governor charged (and polled for injected faults) for

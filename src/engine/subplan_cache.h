@@ -3,12 +3,13 @@
 // Convoy candidates share long join prefixes: the block executor joins
 // instances in a deterministic smallest-table-first order, so two candidates
 // whose queries agree on the first k placed instances (tables, join key
-// sources, selections, self joins, and the interface columns the suffix
-// reads) recompute the same intermediate relation. This cache stores those
-// intermediates — flat RowId matrices exactly as ExecuteBlock materializes
-// them — keyed by a canonical prefix signature, so the second and later
-// candidates of a convoy resume from the deepest cached prefix instead of
-// rejoining from scratch.
+// sources, selections, self joins, and on the guard path the interface
+// columns the suffix reads) recompute the same intermediate relation. This
+// cache stores those intermediates — flat RowId matrices, as ExecuteBlock
+// materializes them or as its guard walk completed them — keyed by a
+// canonical prefix signature, so the second and later candidates of a
+// convoy resume from the deepest cached prefix instead of rejoining from
+// scratch.
 //
 // The cache lives in the engine layer (block_executor is the producer and
 // consumer) and therefore keeps its own counters instead of depending on
@@ -38,10 +39,12 @@ struct SubplanTable {
   // ("subplan-build"); rejected tables are transient caller-owned copies.
   std::vector<RowId> rows;  // width RowIds per binding row
   size_t width = 0;
-  /// Pre-filter match rows enumerated while computing this prefix (the block
-  /// executor's `produced` counter). Replayed into the consumer's counter on
-  /// a hit so the intermediate-size-cap verdict is identical whether the
-  /// prefix was recomputed or served from cache (cache-state invariance).
+  /// Pre-filter match rows enumerated while computing this prefix (the
+  /// block executor's `produced` counter). Replayed into the consumer's
+  /// counter on a hit so the intermediate-size-cap verdict is identical
+  /// whether the prefix was recomputed or served from cache (cache-state
+  /// invariance). Materializing path only: the guard walk caps each level
+  /// separately, and stores and replays 0.
   uint64_t enumerated = 0;
   size_t bytes = 0;  // estimated resident size (budget accounting)
 };

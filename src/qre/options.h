@@ -134,12 +134,12 @@ struct QreOptions {
   bool use_sip = true;
 
   /// Byte budget of the cross-candidate subplan memoization cache
-  /// (SubplanCache): materialized block-execution join prefixes, keyed by
-  /// canonical prefix signature and shared across convoy candidates. Also
-  /// switches the exact extras check to the block path when nonzero. 0
-  /// disables memoization and keeps the legacy streaming extra-tuple hunt
-  /// (the --subplan-cache-mb 0 ablation cell of E15). Never changes
-  /// accepted answers (DESIGN.md §13).
+  /// (SubplanCache): block-execution join prefixes, keyed by canonical
+  /// prefix signature and shared across convoy candidates. 0 disables
+  /// memoization only: the exact extras check runs the same depth-first
+  /// block walk either way, without resuming from cached prefixes (the
+  /// --subplan-cache-mb 0 ablation cell of E15). Never changes accepted
+  /// answers (DESIGN.md §13).
   uint64_t subplan_cache_budget_bytes = 64ull << 20;
 
   /// Admission threshold of the subplan cache: a join prefix is snapshotted

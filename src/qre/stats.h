@@ -48,7 +48,7 @@ struct QreStats {
   RelaxedCounter probe_rows = 0;       // quick 2-tuple + partial probes
   RelaxedCounter coherence_rows = 0;   // walk-coherence streams
   RelaxedCounter alltuple_rows = 0;    // per-R_out-tuple membership probes
-  RelaxedCounter fullscan_rows = 0;    // extra-tuple hunting streams
+  RelaxedCounter fullscan_rows = 0;    // extra-tuple hunts (join matches)
 
   // Walk-materialization cache (DESIGN.md §9). hits/misses count Acquire()
   // calls that did / did not return a materialized relation; bytes is a

@@ -447,64 +447,32 @@ CandidateOutcome Validator::FullCheck(const CandidateQuery& candidate,
     if (options_->variant == QreVariant::kSuperset) {
       return CandidateOutcome::kGenerating;  // superset needs nothing more
     }
-    // Exact: R_out ⊆ Q(D) holds; it remains to rule out extra tuples.
-    if (policy_.subplan_cache != nullptr) {
-      // Block path with subplan memoization (DESIGN.md §13): convoy
-      // candidates share join prefixes, so the block executor resumes from
-      // the deepest cached intermediate instead of re-streaming the whole
-      // join per candidate — the cascade's dominant residual cost. The
-      // subset guard (= R_out) stops the projection at the first distinct
-      // tuple outside R_out, preserving the early-exit character of the
-      // streaming hunt. The block executor knows nothing of virtual joins,
-      // so the unsubstituted query is used (prefix signatures then align
-      // across the convoy regardless of which walks were materialized).
-      bool violated = false;
-      BlockRunStats brs;
-      auto result =
-          ExecuteBlock(*db_, candidate.query, "extras", budget_exceeded_,
-                       policy_, rout_set_, &violated, &brs);
-      stats_->validation_rows += brs.rows_enumerated;
-      stats_->fullscan_rows += brs.rows_enumerated;
-      stats_->sip_rows_skipped += brs.sip_rows_skipped;
-      if (!result.ok()) {
-        if (result.status().code() == StatusCode::kResourceExhausted) {
-          // Global stop vs candidate-local exhaustion, exactly as in the
-          // non-progressive block path below.
-          return BudgetExceeded() ? CandidateOutcome::kBudgetExhausted
-                                  : CandidateOutcome::kError;
-        }
-        return CandidateOutcome::kError;
+    // Exact: R_out ⊆ Q(D) holds; it remains to rule out extra tuples. The
+    // block executor's guard path (DESIGN.md §13) walks the join depth-first
+    // and stops at the first distinct tuple outside R_out; with a subplan
+    // cache it also resumes from the deepest join prefix a convoy sibling
+    // completed. It knows nothing of virtual joins, so the unsubstituted
+    // query is used (prefix signatures then align across the convoy
+    // regardless of which walks were materialized).
+    bool violated = false;
+    BlockRunStats brs;
+    auto result = ExecuteBlock(*db_, candidate.query, "extras",
+                               budget_exceeded_, policy_, rout_set_, &violated,
+                               &brs);
+    stats_->validation_rows += brs.rows_enumerated;
+    stats_->fullscan_rows += brs.rows_enumerated;
+    stats_->sip_rows_skipped += brs.sip_rows_skipped;
+    if (!result.ok()) {
+      if (result.status().code() == StatusCode::kResourceExhausted) {
+        // Global stop vs candidate-local exhaustion, exactly as in the
+        // non-progressive block path below.
+        return BudgetExceeded() ? CandidateOutcome::kBudgetExhausted
+                                : CandidateOutcome::kError;
       }
-      return violated ? CandidateOutcome::kExtraTuples
-                      : CandidateOutcome::kGenerating;
+      return CandidateOutcome::kError;
     }
-    // Legacy streaming hunt (the --subplan-cache-mb 0 ablation cell): early
-    // exit on the first violation. Substitution cannot change the emitted
-    // set: projections only touch endpoint instances, which the reduced
-    // query retains.
-    auto cursor = QueryCursor::Create(*db_, exec.query, budget_exceeded_,
-                                      exec.vjoins, policy_);
-    if (!cursor.ok()) return CandidateOutcome::kError;
-    std::vector<ValueId> row;
-    auto fold_sip = [&] {
-      stats_->sip_rows_skipped += (*cursor)->sip_rows_skipped();
-    };
-    while ((*cursor)->Next(&row)) {
-      ++stats_->validation_rows;
-      ++stats_->fullscan_rows;
-      if ((stats_->validation_rows & kInterruptPollMask) == 0 &&
-          BudgetExceeded()) {
-        fold_sip();
-        return CandidateOutcome::kBudgetExhausted;
-      }
-      if (rout_set_->count(row) == 0) {
-        fold_sip();
-        return CandidateOutcome::kExtraTuples;
-      }
-    }
-    fold_sip();
-    if ((*cursor)->interrupted()) return CandidateOutcome::kBudgetExhausted;
-    return CandidateOutcome::kGenerating;
+    return violated ? CandidateOutcome::kExtraTuples
+                    : CandidateOutcome::kGenerating;
   }
 
   if (!options_->use_progressive_validation) {

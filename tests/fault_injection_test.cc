@@ -82,6 +82,8 @@ TEST_F(FaultInjectionTest, CancelAtEachSiteExitsCleanlyAsCancelled) {
       // join step materializes intermediates, so a single-table R_out
       // would never reach the site.
       {"block-buffer", 8, true, 2},
+      // Default options: the exact extras check's guard walk charges it.
+      {"block-buffer", 8, false, 2},
       {"walk-cache-build", 8, false, 0},  // L09: multi-instance, walk-heavy
   };
   for (const Case& c : cases) {
@@ -216,6 +218,31 @@ TEST_F(FaultInjectionTest, AllocFailAtBlockBufferExitsCleanly) {
   QreAnswer a = Run(0, opts);
   if (!a.found) {
     EXPECT_FALSE(a.failure_reason.empty());
+  }
+}
+
+TEST_F(FaultInjectionTest,
+       AllocFailAtBlockBufferWithDefaultOptionsExitsCleanly) {
+  // Default options route the exact extras check through the block
+  // executor's guard walk, whose scan, level buffers, class sets and output
+  // all charge block-buffer: every refusal dismisses only that candidate.
+  QreOptions opts;
+  opts.fault_spec = "block-buffer=alloc-fail";
+  QreAnswer a = Run(0, opts);
+  EXPECT_GT(a.stats.full_validations, 0u);
+  if (!a.found) {
+    EXPECT_FALSE(a.failure_reason.empty());
+  }
+  // Multi-level walks (L09, L10), refused on their first charges only: a
+  // permanent refusal would dismiss every candidate of these large searches.
+  opts.fault_spec = "block-buffer=alloc-fail@1..3";
+  for (size_t index : {size_t{8}, size_t{9}}) {
+    SCOPED_TRACE("workload " + std::to_string(index));
+    QreAnswer b = Run(index, opts);
+    EXPECT_GT(b.stats.full_validations, 0u);
+    if (!b.found) {
+      EXPECT_FALSE(b.failure_reason.empty());
+    }
   }
 }
 

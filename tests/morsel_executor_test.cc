@@ -20,6 +20,7 @@
 #include "engine/block_executor.h"
 #include "engine/compare.h"
 #include "engine/executor.h"
+#include "engine/subplan_cache.h"
 #include "qre/fastqre.h"
 #include "storage/csv.h"
 
@@ -263,6 +264,71 @@ TEST(MorselExecutor, InterruptHonoredWithinOneMorsel) {
                           },
                           p);
     EXPECT_TRUE(r.ok());
+    return polls;
+  };
+  const size_t fine = count_polls(1);
+  const size_t coarse = count_polls(1u << 20);
+  EXPECT_GT(fine, coarse);
+  EXPECT_GE(coarse, 1u);
+}
+
+// Guard-path twin: the depth-first extras check polls once per morsel_size
+// index lookups, including on a warm cache that skips the scan; every abort
+// returns ResourceExhausted, publishes nothing to the cache and leaves the
+// governor balanced.
+TEST(MorselExecutor, GuardWalkInterruptHonoredWithinOneMorsel) {
+  Database db = SeededRandomDb(7);
+  Rng rng(7);
+  RandomQueryOptions q_opts;
+  q_opts.num_instances = 3;
+  q_opts.min_rout_rows = 0;
+  auto wq = RandomCpjQuery(db, &rng, q_opts);
+  ASSERT_TRUE(wq.ok());
+  // The full result as the guard: the walk never stops early on its own.
+  const TupleSet guard =
+      TableToTupleSet(ExecuteBlock(db, wq->query, "block").ValueOrDie());
+
+  for (bool warm : {false, true}) {
+    auto governor = std::make_shared<ResourceGovernor>(0);
+    SubplanCache cache(64 << 20, 0, governor);
+    ExecPolicy p;
+    p.subplan_cache = &cache;
+    p.governor = governor;
+    if (warm) {
+      bool violated = true;
+      ASSERT_TRUE(ExecuteBlock(db, wq->query, "block", {}, p, &guard,
+                               &violated)
+                      .ok());
+      ASSERT_FALSE(violated);
+    }
+    const size_t resting_cache = cache.bytes();
+    for (size_t morsel : {size_t{1}, size_t{7}, size_t{2048}}) {
+      SCOPED_TRACE("warm " + std::to_string(warm) + " morsel " +
+                   std::to_string(morsel));
+      p.morsel_size = morsel;
+      bool violated = false;
+      auto r = ExecuteBlock(db, wq->query, "block", [] { return true; }, p,
+                            &guard, &violated);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+      EXPECT_EQ(cache.bytes(), resting_cache);
+      EXPECT_EQ(governor->tracked_bytes(), resting_cache);
+    }
+  }
+
+  auto count_polls = [&](size_t morsel) {
+    size_t polls = 0;
+    ExecPolicy p;
+    p.morsel_size = morsel;
+    bool violated = true;
+    auto r = ExecuteBlock(db, wq->query, "block",
+                          [&polls] {
+                            ++polls;
+                            return false;
+                          },
+                          p, &guard, &violated);
+    EXPECT_TRUE(r.ok());
+    EXPECT_FALSE(violated);
     return polls;
   };
   const size_t fine = count_polls(1);

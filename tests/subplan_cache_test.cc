@@ -15,6 +15,7 @@
 #include "datagen/randomdb.h"
 #include "datagen/workload.h"
 #include "engine/block_executor.h"
+#include "engine/compare.h"
 #include "engine/subplan_cache.h"
 #include "storage/database.h"
 
@@ -181,6 +182,56 @@ TEST(IndexBuildInterrupt, ExecuteBlockAbortsCleanlyAtEveryPollDepth) {
     EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
     // The same call without an interrupt succeeds on the same database.
     EXPECT_TRUE(ExecuteBlock(db, wq->query, "block").ok());
+  }
+}
+
+TEST(IndexBuildInterrupt, GuardWalkAbortsCleanlyAtEveryPollDepth) {
+  // Guard-path twin of the sweep above: the exact extras check resolves
+  // every level's index before its walk, so early poll depths land in the
+  // scan and the builds and later ones in the walk. Every abort must surface
+  // as ResourceExhausted, publish nothing to the cache, and leave the
+  // governor balanced; the same call without an interrupt then succeeds.
+  RandomQueryOptions q_opts;
+  q_opts.num_instances = 2;
+  q_opts.min_rout_rows = 0;
+  for (size_t fire_at : {size_t{1}, size_t{2}, size_t{4}, size_t{8},
+                         size_t{16}, size_t{64}}) {
+    SCOPED_TRACE("fire_at=" + std::to_string(fire_at));
+    // The guard comes from a twin database, so this one's indexes start
+    // unbuilt and the build-side polls exist.
+    Database twin = BigTableDb();
+    Rng twin_rng(13);
+    auto twin_q = RandomCpjQuery(twin, &twin_rng, q_opts);
+    ASSERT_TRUE(twin_q.ok());
+    const TupleSet guard = TableToTupleSet(
+        ExecuteBlock(twin, twin_q->query, "block").ValueOrDie());
+
+    Database db = BigTableDb();
+    Rng qrng(13);
+    auto wq = RandomCpjQuery(db, &qrng, q_opts);
+    ASSERT_TRUE(wq.ok());
+    auto governor = std::make_shared<ResourceGovernor>(0);
+    SubplanCache cache(/*budget_bytes=*/64 << 20, /*admission=*/0, governor);
+    ExecPolicy p;
+    p.subplan_cache = &cache;
+    p.governor = governor;
+    size_t polls = 0;
+    bool violated = true;
+    auto r = ExecuteBlock(db, wq->query, "block",
+                          [&polls, fire_at] { return ++polls >= fire_at; }, p,
+                          &guard, &violated);
+    if (polls < fire_at) {
+      EXPECT_TRUE(r.ok());
+      continue;
+    }
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(cache.bytes(), 0u);
+    EXPECT_EQ(governor->tracked_bytes(), 0u);
+    auto rerun = ExecuteBlock(db, wq->query, "block", {}, p, &guard, &violated);
+    ASSERT_TRUE(rerun.ok());
+    EXPECT_FALSE(violated);
+    EXPECT_EQ(governor->tracked_bytes(), cache.bytes());
   }
 }
 
