@@ -94,14 +94,15 @@ void BM_LookupBatch(benchmark::State& state) {
   for (RowId r = 0; r < lineitem.num_rows(); r += stride) {
     keys.push_back(lineitem.column(0).at(r));
   }
+  // One morsel of keys per call, as the cursor's reach-driven build probes.
   BatchMatches out;
   for (auto _ : state) {
-    size_t done = 0;
-    while (done < keys.size()) {
-      done += index.LookupBatch(keys.data() + done, keys.size() - done, &out,
-                                1u << 16);
+    for (size_t lo = 0; lo < keys.size(); lo += kDefaultMorselSize) {
+      index.LookupBatch(keys.data() + lo,
+                        std::min(kDefaultMorselSize, keys.size() - lo), &out);
+      benchmark::DoNotOptimize(out.rows.data());
     }
-    benchmark::DoNotOptimize(out.rows.size());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(keys.size()));

@@ -2,56 +2,33 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <span>
 #include <unordered_set>
 
 #include "common/resource_governor.h"
-#include "common/thread_pool.h"
-#include "engine/executor.h"
 #include "engine/subplan_cache.h"
 
 namespace fastqre {
 
 namespace {
 
-// Block-buffer bytes are accumulated locally (per morsel worker, or per
-// guard walk) and flushed to the governor in quanta, keeping the accounting
-// cost off the per-row hot path.
+// Block-buffer bytes are accumulated locally and flushed to the governor in
+// quanta, keeping the accounting cost off the per-row hot path.
 constexpr uint64_t kChargeQuantumBytes = 64 * 1024;
 
-// Hard cap on join enumeration: pathological candidate queries can otherwise
-// exhaust memory before any time budget fires. The materializing path caps
-// the running total of intermediate rows, exactly at merge time (so the
-// verdict is identical in every execution configuration) and approximately
-// inside each worker (so no single morsel materializes unboundedly past it);
-// subplan-cache hits replay the stored pre-filter enumeration count into
-// that total, so the verdict is also identical whether a prefix was
-// recomputed or served from cache. The guard walk caps each level's own
-// count instead (see GuardedWalk).
+// Hard cap on join enumeration: a pathological candidate query stops with
+// ResourceExhausted (the validator dismisses just that candidate) instead of
+// enumerating until a time budget fires. It applies to each walked level's
+// own count of enumerated matches (see Walk).
 constexpr size_t kMaxIntermediateRows = 20'000'000;
-
-// Rows the batched kernel expands per LookupBatch call before filtering and
-// appending: bounds the reusable match scratch even for keys with huge
-// posting lists.
-constexpr size_t kBatchExpandRowCap = 64 * 1024;
 
 // Version tag leading every subplan signature, so a future encoding change
 // can never alias entries written by an older one.
-constexpr uint32_t kSubplanSigVersion = 2;
+constexpr uint32_t kSubplanSigVersion = 3;
 
 // Bindings a level's interface dedup examines before deciding whether the
 // collapse pays for itself (see ClassDedup::Admit).
 constexpr size_t kDedupSampleRows = 4096;
-
-// Why the materializing path's shared stop flag fired; first cause wins
-// (CAS).
-enum : int {
-  kRunning = 0,
-  kStopInterrupt = 1,
-  kStopMemory = 2,
-  kStopCap = 3,
-};
 
 Status Interrupted() {
   return Status::ResourceExhausted("block evaluation interrupted");
@@ -138,7 +115,7 @@ struct SipDescriptor {
 // A column of a placed instance, addressed by plan position.
 using PlanColumn = std::pair<int, ColumnId>;
 
-// The left-deep join plan both evaluation strategies share.
+// The left-deep join plan the walk follows.
 struct BlockPlan {
   // Placement order (plan position -> instance) and its inverse.
   std::vector<InstanceId> order;
@@ -269,7 +246,7 @@ struct ProbeStep {
   // foreign-key data every component value exists while the combination
   // often does not, so a cache-resident bit test rejects the miss before the
   // slot-table probe. Output-neutral: only provably-empty probes are
-  // skipped, and an empty probe enumerates nothing. Null where not applied.
+  // skipped, and an empty probe enumerates nothing. Null with SIP off.
   const CompositeKeyFilter* key_filter = nullptr;
   // Per key component: the source plan position (-1 = folded constant), its
   // column data, and the constant.
@@ -287,8 +264,7 @@ struct ProbeStep {
   }
 };
 
-// Per-call state shared by the scan, the materializing path and the guard
-// walk.
+// Per-call state shared by the scan and the walk.
 struct BlockContext {
   BlockContext(const Database& db_in, const PJQuery& query_in,
                const ExecPolicy& policy_in,
@@ -304,12 +280,9 @@ struct BlockContext {
   BlockContext& operator=(const BlockContext&) = delete;
 
   // Releases every byte this evaluation charged, on all return paths (the
-  // buffers are locals of the callee, freed before this runs). Workers fold
-  // their flushed quanta into `charged` with relaxed adds; this load happens
-  // after every worker joined, so the total is exact.
+  // buffers are locals of the callee, freed before this runs).
   ~BlockContext() {
-    const uint64_t total = charged.load(std::memory_order_relaxed);
-    if (governor != nullptr && total > 0) governor->Release(total);
+    if (governor != nullptr && charged > 0) governor->Release(charged);
   }
 
   const Database& db;
@@ -329,9 +302,9 @@ struct BlockContext {
   // it is last-attach-wins across engines, so charging it here would let a
   // concurrent engine's exhausted ladder dismiss THIS engine's candidates.
   const std::shared_ptr<ResourceGovernor> governor;
-  std::atomic<uint64_t> charged{0};
-  // SIP skips across all steps and workers (observability only).
-  std::atomic<uint64_t> sip_skipped{0};
+  uint64_t charged = 0;
+  // SIP skips across all steps (observability only).
+  uint64_t sip_skipped = 0;
 
   const ValueId* Column(int p, ColumnId c) const {
     return db.table(query.instance_table(plan.order[p]))
@@ -347,7 +320,7 @@ struct BlockContext {
     if (*pending == 0 || (!all && *pending < kChargeQuantumBytes)) return true;
     if (governor != nullptr) {
       if (!governor->TryCharge(*pending, "block-buffer")) return false;
-      charged.fetch_add(*pending, std::memory_order_relaxed);
+      charged += *pending;
     }
     *pending = 0;
     return true;
@@ -355,10 +328,10 @@ struct BlockContext {
 
   // With memoization active, presence-bitmap SIP is restricted to the final
   // step: its output is never cached, so the per-candidate filter set cannot
-  // leak into a shared intermediate — prefixes stay SIP-free, byte-identical
+  // leak into a shared prefix — stored levels stay SIP-free, shareable
   // across candidates, and their signatures need no SIP descriptors.
   // Without a cache every step filters (nothing is shared, so nothing can
-  // alias).
+  // alias); guard-less calls always run without one.
   SipFilters ResolveSip(size_t p) const {
     SipFilters filters;
     const bool sip_all_steps =
@@ -378,7 +351,7 @@ struct BlockContext {
   // Resolves join step p (>= 1). The build side of the hash join is
   // interruptible, so a deadline or Cancel() lands inside a large index
   // build instead of after it (DESIGN.md §13); false when it fired.
-  bool ResolveStep(size_t p, bool use_key_filter, ProbeStep* step) const {
+  bool ResolveStep(size_t p, ProbeStep* step) const {
     const InstanceId inst = plan.order[p];
     step->index = db.TryGetOrBuildIndex(query.instance_table(inst),
                                         plan.key_cols[p], interrupt);
@@ -398,7 +371,7 @@ struct BlockContext {
         step->src_data[k] = Column(sources[k].first, sources[k].second);
       }
     }
-    if (use_key_filter && policy.use_sip && kw >= 2) {
+    if (policy.use_sip && kw >= 2) {
       step->key_filter = &db.GetOrBuildKeyFilter(query.instance_table(inst),
                                                  plan.key_cols[p]);
     }
@@ -407,22 +380,19 @@ struct BlockContext {
 };
 
 // Canonical prefix signatures (DESIGN.md §13): sigs[p] encodes everything
-// that determines the binding matrix after step p — per placed instance its
-// table, local predicates, and (for p >= 1) the join-key wiring in
-// plan-position space. Plan positions, not instance ids, so two candidates
-// sharing a prefix shape alias regardless of numbering; projections are
-// deliberately absent (they only shape the final projection, never the
-// intermediates). `iface` (guard walk only) appends each level's interface
-// spec, cumulatively: a guard level's bindings depend on every earlier
-// level's dedup, so two candidates alias only when all of them agree.
+// that determines the deduped bindings after step p — per placed instance
+// its table, local predicates, (for p >= 1) the join-key wiring in
+// plan-position space, and its level's interface spec `iface`. Cumulative:
+// a level's bindings depend on every earlier level's dedup, so two
+// candidates alias only when all of them agree. Plan positions, not instance
+// ids, so two candidates sharing a prefix shape alias regardless of
+// numbering; projections enter only through the interface specs.
 std::vector<SubplanCache::Signature> PrefixSignatures(
     const BlockContext& ctx,
-    const std::vector<std::vector<PlanColumn>>* iface) {
+    const std::vector<std::vector<PlanColumn>>& iface) {
   const PJQuery& query = ctx.query;
   const BlockPlan& plan = ctx.plan;
-  // The two strategies store differently shaped intermediates (deduped vs
-  // full); the leading flag keeps the two universes from aliasing.
-  SubplanCache::Signature enc{kSubplanSigVersion, iface != nullptr ? 1u : 0u};
+  SubplanCache::Signature enc{kSubplanSigVersion};
   std::vector<SubplanCache::Signature> sigs(plan.size());
   for (size_t p = 0; p < plan.size(); ++p) {
     const InstanceId inst = plan.order[p];
@@ -462,20 +432,17 @@ std::vector<SubplanCache::Signature> PrefixSignatures(
       enc.push_back(a);
       enc.push_back(b);
     }
-    if (iface != nullptr) {
-      const auto& spec = (*iface)[p];
-      enc.push_back(static_cast<uint32_t>(spec.size()));
-      for (const auto& [ip, ic] : spec) {
-        enc.push_back(static_cast<uint32_t>(ip));
-        enc.push_back(static_cast<uint32_t>(ic));
-      }
+    enc.push_back(static_cast<uint32_t>(iface[p].size()));
+    for (const auto& [ip, ic] : iface[p]) {
+      enc.push_back(static_cast<uint32_t>(ip));
+      enc.push_back(static_cast<uint32_t>(ic));
     }
     sigs[p] = enc;
   }
   return sigs;
 }
 
-// First-of-class filter over one guard-walk level, applied as the level's
+// First-of-class filter over one walked level, applied as the level's
 // bindings are produced. A binding influences the rest of the walk solely
 // through its interface values — the columns later steps' join keys read
 // plus the projection columns placed so far. Bindings equal on those produce
@@ -484,7 +451,7 @@ std::vector<SubplanCache::Signature> PrefixSignatures(
 // order (a dropped binding's tuples were already emitted, in order, by its
 // earlier representative). This collapses chain joins from row-pair counts
 // to distinct-value counts — the multiplicative shrink the extras check
-// lives on.
+// lives on. Until Init it admits every binding (a guard-less walk's levels).
 class ClassDedup {
  public:
   // `spec`: the level's interface, in (plan position, column) pairs.
@@ -495,6 +462,7 @@ class ClassDedup {
     }
     key_.assign(spec.size(), 0);
     classes_ = TupleSet(spec.size());
+    active_ = true;
   }
 
   // True when `binding` (RowIds by plan position) opens a new class, or
@@ -546,13 +514,13 @@ class ClassDedup {
   TupleSet classes_;
   size_t accounted_ = 0;
   size_t examined_ = 0;
-  bool active_ = true;
+  bool active_ = false;
 };
 
 // Step 0: filters the start table's rows into `rows`, one morsel-sized chunk
 // at a time (per-chunk interrupt polls; the scan itself is cheap). `dedup`
-// (may be null) keeps only the first row of each interface class.
-Status ScanStart(BlockContext& ctx, ClassDedup* dedup,
+// keeps only the first row of each interface class once initialized.
+Status ScanStart(BlockContext& ctx, ClassDedup& dedup,
                  std::vector<RowId>* rows) {
   const Table& t0 = ctx.db.table(ctx.query.instance_table(ctx.plan.order[0]));
   LocalFilters filters;
@@ -572,14 +540,14 @@ Status ScanStart(BlockContext& ctx, ClassDedup* dedup,
         ++skips;
         continue;
       }
-      if (dedup != nullptr && !dedup->Admit(&r, &pending)) continue;
+      if (!dedup.Admit(&r, &pending)) continue;
       rows->push_back(r);
       pending += sizeof(RowId);
     }
     if (!ctx.ChargeQuantum(&pending)) return OverBudget();
   }
   if (!ctx.ChargeQuantum(&pending, /*all=*/true)) return OverBudget();
-  ctx.sip_skipped.fetch_add(skips, std::memory_order_relaxed);
+  ctx.sip_skipped += skips;
   return Status::OK();
 }
 
@@ -617,314 +585,24 @@ uint64_t OutputTupleBytes(size_t width) {
   return 2 * width * sizeof(ValueId) + 48;
 }
 
-// The plain path: materialize every join step with morsel-driven hash joins,
-// then project and dedupe. No early exit of any kind.
-Result<Table> MaterializeAll(BlockContext& ctx, const std::string& name,
-                             BlockRunStats* run_stats) {
-  const Database& db = ctx.db;
-  const PJQuery& query = ctx.query;
-  const ExecPolicy& policy = ctx.policy;
-  const BlockPlan& plan = ctx.plan;
-  const size_t n = plan.size();
-  const size_t morsel = policy.MorselSize();
-
-  // Shared stop flag: set by whichever morsel first observes an interrupt, a
-  // refused charge, or the intermediate cap; later morsels exit immediately.
-  // Relaxed suffices — the flag guards no data (per-morsel buffers are
-  // published by the RunMorsels join) and the first-cause CAS is exact.
-  std::atomic<int> stop{kRunning};
-  auto raise_stop = [&stop](int cause) {
-    int expected = kRunning;
-    (void)stop.compare_exchange_strong(expected, cause,
-                                       std::memory_order_relaxed,
-                                       std::memory_order_relaxed);
-  };
-  auto stop_status = [&stop]() {
-    switch (stop.load(std::memory_order_relaxed)) {
-      case kStopMemory:
-        return OverBudget();
-      case kStopCap:
-        return OverCap();
-      default:
-        return Interrupted();
-    }
-  };
-  // Approximate running total of appended intermediate rows, for the
-  // in-worker cap guard; the exact (configuration-independent) cap verdict
-  // is re-checked on the merged total after each step.
-  std::atomic<size_t> produced{0};
-
-  SubplanCache* cache = policy.subplan_cache;
-  std::vector<SubplanCache::Signature> sigs;
-  if (cache != nullptr) sigs = PrefixSignatures(ctx, /*iface=*/nullptr);
-
-  // Intermediate relation: a flat row-major matrix, one RowId per placed
-  // instance per row. Flat (instead of a vector per row) so morsel workers
-  // scan their driving slice cache-linearly and the merge is a memcpy.
-  // Accessed through a pointer so a memoized prefix can be consumed in
-  // place (pinned, immutable) without copying it out of the cache.
-  // gov: charged — every locally appended row's bytes flow through the
-  // per-morsel quantum flushes below (released by ~BlockContext); cache-
-  // served rows stay charged to the cache's own "subplan-build" budget.
-  std::vector<RowId> rows_storage;
-  const std::vector<RowId>* rows = &rows_storage;
-  size_t width = 1;
-  size_t start_step = 1;
-  SubplanCache::Handle prefix_pin;  // keeps a hit alive while we read it
-
-  // Offers the intermediate after step p to the cache (never the final step
-  // — the full join is the result, not a reusable prefix). WantsInsert gates
-  // the snapshot copy on admission, so one-shot prefixes cost nothing extra;
-  // Insert re-checks and charges "subplan-build" (also the fault site).
-  auto offer = [&](size_t p) {
-    if (cache == nullptr || p + 1 >= n || !cache->WantsInsert(sigs[p])) return;
-    auto snap = std::make_shared<SubplanTable>();
-    snap->rows = rows_storage;
-    snap->width = width;
-    snap->enumerated = produced.load(std::memory_order_relaxed);
-    snap->bytes = sizeof(SubplanTable) + snap->rows.capacity() * sizeof(RowId);
-    (void)cache->Insert(sigs[p], std::move(snap));
-  };
-
-  // Probe the cache deepest-prefix-first. Every probe counts toward the
-  // admission threshold, so the second candidate of a convoy stores what the
-  // third consumes.
-  if (cache != nullptr && n >= 2) {
-    for (int p = static_cast<int>(n) - 2; p >= 0; --p) {
-      SubplanCache::Handle handle = cache->Lookup(sigs[p]);
-      if (handle != nullptr) {
-        prefix_pin = std::move(handle);
-        rows = &prefix_pin->rows;
-        width = prefix_pin->width;
-        start_step = p + 1;
-        // Replay the stored pre-filter enumeration count so the
-        // intermediate-size-cap verdict is identical to a fresh run's.
-        produced.store(prefix_pin->enumerated, std::memory_order_relaxed);
-        if (run_stats != nullptr) ++run_stats->subplan_hits;
-        break;
-      }
-    }
-  }
-  if (prefix_pin == nullptr) {
-    FASTQRE_RETURN_NOT_OK(ScanStart(ctx, /*dedup=*/nullptr, &rows_storage));
-    offer(0);
-  }
-
-  for (size_t p = start_step; p < n; ++p) {
-    ProbeStep step;
-    // The composite-key filter serves the scalar kernel only: the batched
-    // kernel amortizes misses inside LookupBatch.
-    if (!ctx.ResolveStep(p, /*use_key_filter=*/!policy.batch_probes, &step)) {
-      return Interrupted();
-    }
-    const HashIndex& index = *step.index;
-    const size_t kw = step.key_width();
-    const std::vector<RowId>& drv = *rows;
-    const size_t w = width;
-    const size_t count = drv.size() / w;
-    const size_t num_morsels = (count + morsel - 1) / morsel;
-    // Per-morsel result buffers, merged in morsel-index order below — the
-    // determinism backbone of DESIGN.md §12.
-    // gov: charged — each worker flushes its buffer's bytes in 64 KB quanta
-    // ("block-buffer"); released in full by ~BlockContext.
-    std::vector<std::vector<RowId>> morsel_out(num_morsels);
-
-    // One morsel: probe driving rows [m*morsel, ...) against the step index
-    // and append passing (binding, match) rows to this morsel's own buffer.
-    auto run_morsel = [&](size_t m) {
-      if (stop.load(std::memory_order_relaxed) != kRunning) return;
-      // Fault site "morsel-worker": fires once per morsel. An injected
-      // alloc-fail models this worker's first refused quantum; cancel lands
-      // at the interrupt poll just below (DESIGN.md §11).
-      if (ctx.governor != nullptr &&
-          ctx.governor->FaultPointAllocFails("morsel-worker")) {
-        raise_stop(kStopMemory);
-        return;
-      }
-      // Per-morsel interrupt poll: a deadline or Cancel() is honored within
-      // one morsel of work, and never mid-merge.
-      if (ctx.interrupt && ctx.interrupt()) {
-        raise_stop(kStopInterrupt);
-        return;
-      }
-      const size_t lo = m * morsel;
-      const size_t hi = std::min(count, lo + morsel);
-      std::vector<RowId>& out = morsel_out[m];
-      uint64_t pending = 0;
-      uint64_t skips = 0;
-      auto append_match = [&](size_t di, RowId match) {
-        const RowId* binding = drv.data() + di * w;
-        out.insert(out.end(), binding, binding + w);
-        out.push_back(match);
-        pending += (w + 1) * sizeof(RowId);
-      };
-
-      if (policy.batch_probes) {
-        // Batched kernel: gather the morsel's keys columnarly, probe them
-        // through one LookupBatch, then filter each key's match extent with
-        // raw-pointer column compares. Visit order (driving row, then index
-        // row order) is exactly the scalar kernel's.
-        std::vector<ValueId> keys((hi - lo) * kw);
-        for (size_t k = 0; k < kw; ++k) {
-          const ValueId* col = step.src_data[k];
-          const int sp = step.src_pos[k];
-          if (sp < 0) {
-            for (size_t i = lo; i < hi; ++i) {
-              keys[(i - lo) * kw + k] = step.src_const[k];
-            }
-            continue;
-          }
-          for (size_t i = lo; i < hi; ++i) {
-            keys[(i - lo) * kw + k] = col[drv[i * w + sp]];
-          }
-        }
-        BatchMatches matches;
-        size_t done = 0;
-        const size_t nk = hi - lo;
-        while (done < nk) {
-          const size_t consumed = index.LookupBatch(
-              keys.data() + done * kw, nk - done, &matches, kBatchExpandRowCap);
-          const size_t before =
-              produced.fetch_add(matches.rows.size(),
-                                 std::memory_order_relaxed);
-          if (before + matches.rows.size() > kMaxIntermediateRows) {
-            raise_stop(kStopCap);
-            return;
-          }
-          for (size_t i = 0; i < consumed; ++i) {
-            const size_t di = lo + done + i;
-            const RowId* mb = matches.begin_of(i);
-            const RowId* me = matches.end_of(i);
-            for (const RowId* r = mb; r < me; ++r) {
-              if (!step.filters.Passes(*r)) continue;
-              if (!step.sip.Passes(*r)) {
-                ++skips;
-                continue;
-              }
-              append_match(di, *r);
-            }
-            if (!ctx.ChargeQuantum(&pending)) {
-              raise_stop(kStopMemory);
-              return;
-            }
-          }
-          done += consumed;
-        }
-      } else {
-        // Scalar kernel: the legacy tuple-at-a-time probe loop (ablation
-        // baseline), restricted to this morsel's driving slice.
-        std::vector<ValueId> key(kw);
-        for (size_t di = lo; di < hi; ++di) {
-          step.FillKey(drv.data() + di * w, key.data());
-          if (step.key_filter != nullptr &&
-              !step.key_filter->MayContain(key.data(), kw)) {
-            ++skips;
-            continue;
-          }
-          const std::span<const RowId> match_rows = index.Lookup(key);
-          const size_t before =
-              produced.fetch_add(match_rows.size(), std::memory_order_relaxed);
-          if (before + match_rows.size() > kMaxIntermediateRows) {
-            raise_stop(kStopCap);
-            return;
-          }
-          for (RowId match : match_rows) {
-            if (!step.filters.Passes(match)) continue;
-            if (!step.sip.Passes(match)) {
-              ++skips;
-              continue;
-            }
-            append_match(di, match);
-          }
-          if (!ctx.ChargeQuantum(&pending)) {
-            raise_stop(kStopMemory);
-            return;
-          }
-        }
-      }
-      if (skips > 0) {
-        ctx.sip_skipped.fetch_add(skips, std::memory_order_relaxed);
-      }
-      if (!ctx.ChargeQuantum(&pending, /*all=*/true)) raise_stop(kStopMemory);
-    };
-
-    RunMorsels(policy.WantsParallel(count) ? policy.pool : nullptr,
-               policy.intra_threads - 1, num_morsels, run_morsel);
-    if (stop.load(std::memory_order_relaxed) != kRunning) {
-      return stop_status();
-    }
-
-    // Merge in morsel-index order: the concatenation equals the scalar
-    // serial traversal order, so the step output is byte-identical at any
-    // thread count.
-    size_t total = 0;
-    for (const auto& buf : morsel_out) total += buf.size();
-    if (total / (w + 1) > kMaxIntermediateRows) return OverCap();
-    if (num_morsels == 1) {
-      rows_storage = std::move(morsel_out[0]);
-    } else {
-      // gov: charged — replaced buffer; its bytes were charged above and the
-      // cumulative total is released by ~BlockContext.
-      std::vector<RowId> merged;
-      merged.reserve(total);
-      for (auto& buf : morsel_out) {
-        merged.insert(merged.end(), buf.begin(), buf.end());
-      }
-      rows_storage = std::move(merged);
-    }
-    rows = &rows_storage;
-    prefix_pin.reset();  // a consumed hit is no longer read past its step
-    width = w + 1;
-    offer(p);
-  }
-
-  // Project and dedupe: serial (first-occurrence order defines the output
-  // table byte-for-byte), chunked per morsel for the interrupt poll.
-  Table out(name, db.dictionary());
-  Projection proj;
-  FASTQRE_RETURN_NOT_OK(proj.Build(ctx, &out));
-  const std::vector<RowId>& fin = *rows;
-  const size_t out_count = width == 0 ? 0 : fin.size() / width;
-  // gov: charged — dedup-set bytes accumulate in `pending` below.
-  TupleSet seen(query.projections().size());
-  seen.reserve(out_count);
-  std::vector<ValueId> tuple(query.projections().size());
-  uint64_t pending = 0;
-  for (size_t lo = 0; lo < out_count; lo += morsel) {
-    if (ctx.interrupt && ctx.interrupt()) return Interrupted();
-    const size_t hi = std::min(out_count, lo + morsel);
-    for (size_t bi = lo; bi < hi; ++bi) {
-      proj.Fill(fin.data() + bi * width, tuple.data());
-      if (seen.Insert(tuple.data())) {
-        out.AppendRowIds(tuple);
-        pending += OutputTupleBytes(tuple.size());
-      }
-    }
-    if (!ctx.ChargeQuantum(&pending)) return OverBudget();
-  }
-  if (!ctx.ChargeQuantum(&pending, /*all=*/true)) return OverBudget();
-  if (run_stats != nullptr) {
-    run_stats->rows_enumerated = produced.load(std::memory_order_relaxed);
-    run_stats->sip_rows_skipped =
-        ctx.sip_skipped.load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-// The guard path (exact extras check): a serial depth-first walk that stops
-// at the first projected tuple outside `guard` (DESIGN.md §13).
+// The evaluator (DESIGN.md §13): a serial depth-first walk over the plan.
 //
 // From each binding of the root — the deepest cached prefix, or the step-0
 // scan — the walk extends one level at a time: a per-binding index lookup,
-// then that level's local, SIP and composite-key filters, then the level's
-// interface dedup; the leaf projects, dedupes and guard-checks. Children are
-// visited in (driving row, match row, ...) order, the order in which the
-// materializing path lays out each level and streams its leaves, so the
-// distinct-tuple sequence, and with it the verdict and a non-violating
-// output table, is byte-identical to materialize-then-project.
-Result<Table> GuardedWalk(BlockContext& ctx, const std::string& name,
-                          const TupleSet& guard, bool* violated,
-                          BlockRunStats* run_stats) {
+// then that level's local, SIP and composite-key filters; the leaf projects
+// and dedupes. Children are visited in (scan row, match row, ...) order, so
+// the distinct-tuple sequence, and with it the output table, is that of a
+// nested-loop join over the plan.
+//
+// With a `guard` (the exact extras check) the walk stops at the first
+// projected tuple outside it. It also keeps only the first binding of each
+// interface class per level (ClassDedup) and one passing match of an
+// existence-only level, neither of which changes the distinct-tuple
+// sequence. Without a guard the walk pays the whole join: every binding is
+// enumerated and streamed to the leaf's output dedup.
+Result<Table> Walk(BlockContext& ctx, const std::string& name,
+                   const TupleSet* guard, bool* violated,
+                   BlockRunStats* run_stats) {
   const PJQuery& query = ctx.query;
   const BlockPlan& plan = ctx.plan;
   const size_t n = plan.size();
@@ -953,15 +631,16 @@ Result<Table> GuardedWalk(BlockContext& ctx, const std::string& name,
     spec.erase(std::unique(spec.begin(), spec.end()), spec.end());
   }
 
+  // Null on guard-less calls (see ExecuteBlock).
   SubplanCache* cache = ctx.policy.subplan_cache;
   std::vector<SubplanCache::Signature> sigs;
-  if (cache != nullptr) sigs = PrefixSignatures(ctx, &iface);
+  if (cache != nullptr) sigs = PrefixSignatures(ctx, iface);
 
   // Per level: the resolved probe step, the level's dedup, its cursor into
   // the current parent's matches, and the bindings it keeps for the cache.
   struct Level {
     ProbeStep step;
-    ClassDedup dedup;  // unused at the leaf
+    ClassDedup dedup;  // left inactive at the leaf and without a guard
     // No later step or projection reads this level's instance, so every
     // passing match of one parent is interchangeable: one proves existence.
     bool exists_only = false;
@@ -1003,9 +682,8 @@ Result<Table> GuardedWalk(BlockContext& ctx, const std::string& name,
   }
   if (pin == nullptr) {
     ClassDedup dedup;
-    if (n >= 2) dedup.Init(ctx, iface[0]);
-    FASTQRE_RETURN_NOT_OK(
-        ScanStart(ctx, n >= 2 ? &dedup : nullptr, &levels[0].kept));
+    if (guard != nullptr && n >= 2) dedup.Init(ctx, iface[0]);
+    FASTQRE_RETURN_NOT_OK(ScanStart(ctx, dedup, &levels[0].kept));
     levels[0].record = n >= 2;
   }
   const size_t root_width = first;
@@ -1013,10 +691,10 @@ Result<Table> GuardedWalk(BlockContext& ctx, const std::string& name,
   size_t max_key_width = 0;
   for (size_t q = first; q < n; ++q) {
     Level& level = levels[q];
-    if (!ctx.ResolveStep(q, /*use_key_filter=*/true, &level.step)) {
-      return Interrupted();
-    }
+    if (!ctx.ResolveStep(q, &level.step)) return Interrupted();
     max_key_width = std::max(max_key_width, level.step.key_width());
+    // Without a guard every binding counts: no shortcut, no dedup.
+    if (guard == nullptr) continue;
     level.exists_only = std::none_of(
         iface[q].begin(), iface[q].end(),
         [q](const PlanColumn& c) { return c.first == static_cast<int>(q); });
@@ -1045,11 +723,11 @@ Result<Table> GuardedWalk(BlockContext& ctx, const std::string& name,
   Table out(name, ctx.db.dictionary());
   Projection proj;
   FASTQRE_RETURN_NOT_OK(proj.Build(ctx, &out));
-  // The distinct-tuple set is bounded by the guard itself (the first tuple
-  // past it ends the walk), so size for that instead of a row count.
   // gov: charged — OutputTupleBytes per new tuple, through `pending`.
   TupleSet seen(proj.data.size());
-  seen.reserve(guard.size() + 1);
+  // A guard bounds the distinct-tuple set (the first tuple past it ends the
+  // walk).
+  if (guard != nullptr) seen.reserve(guard->size() + 1);
   std::vector<ValueId> tuple(proj.data.size());
   std::vector<RowId> cur(n);  // the current path, one RowId per plan position
   std::vector<ValueId> key(max_key_width);
@@ -1060,11 +738,10 @@ Result<Table> GuardedWalk(BlockContext& ctx, const std::string& name,
   uint64_t skips = 0;
   uint64_t enumerated = 0;
   auto finish_stats = [&]() {
-    ctx.sip_skipped.fetch_add(skips, std::memory_order_relaxed);
+    ctx.sip_skipped += skips;
     if (run_stats == nullptr) return;
     run_stats->rows_enumerated = enumerated;
-    run_stats->sip_rows_skipped =
-        ctx.sip_skipped.load(std::memory_order_relaxed);
+    run_stats->sip_rows_skipped = ctx.sip_skipped;
   };
 
   const size_t root_count = root->size() / root_width;
@@ -1146,7 +823,7 @@ Result<Table> GuardedWalk(BlockContext& ctx, const std::string& name,
       at_leaf = false;
       proj.Fill(cur.data(), tuple.data());
       if (seen.Insert(tuple.data())) {
-        if (guard.count(tuple) == 0) {
+        if (guard != nullptr && guard->count(tuple) == 0) {
           // The candidate provably produces a tuple outside the guard set.
           // Only the scan is complete; the walked levels stopped midway.
           *violated = true;
@@ -1162,8 +839,8 @@ Result<Table> GuardedWalk(BlockContext& ctx, const std::string& name,
     }
   }
   if (!ctx.ChargeQuantum(&pending, /*all=*/true)) return OverBudget();
-  // No violation: every recorded level holds its complete, deduped binding
-  // sequence.
+  // The walk finished: every recorded level holds its complete, deduped
+  // binding sequence.
   offer(0, leaf);
   finish_stats();
   return out;
@@ -1192,11 +869,13 @@ Result<Table> ExecuteBlock(const Database& db, const PJQuery& query,
   if (subset_violated != nullptr) *subset_violated = false;
   FASTQRE_ASSIGN_OR_RETURN(BlockPlan plan,
                            PlanJoins(db, query, policy.use_sip));
-  BlockContext ctx(db, query, policy, interrupt, std::move(plan));
-  if (subset_guard != nullptr) {
-    return GuardedWalk(ctx, name, *subset_guard, subset_violated, run_stats);
-  }
-  return MaterializeAll(ctx, name, run_stats);
+  // A guard-less call is the paper's single block operation, whose cost the
+  // naive baseline must pay in full (DESIGN.md §2): it neither resumes from
+  // nor stores memoized prefixes.
+  ExecPolicy walk_policy = policy;
+  if (subset_guard == nullptr) walk_policy.subplan_cache = nullptr;
+  BlockContext ctx(db, query, walk_policy, interrupt, std::move(plan));
+  return Walk(ctx, name, subset_guard, subset_violated, run_stats);
 }
 
 }  // namespace fastqre

@@ -1,12 +1,14 @@
 // Execution policy for one candidate: vectorized (batched) probe kernels
-// and morsel-driven intra-candidate parallelism (DESIGN.md §12).
+// and morsel-driven intra-candidate parallelism (DESIGN.md §12), SIP and
+// subplan memoization (§13), and the governor charged.
 //
 // The policy travels from QreOptions through the validator into the block
 // executor and the pipelined cursor. Every combination of its knobs yields
-// byte-identical results — morsels are merged in morsel-index order and the
-// batched kernels preserve the scalar kernels' row visit order — so the
-// policy only ever changes how fast a candidate executes, never what the
-// search answers.
+// byte-identical results — the morsel-dispatched pass is a verdict-only
+// conjunction and the batched kernels preserve the scalar kernels' row
+// visit order — so the policy only ever changes how fast a candidate
+// executes, never what the search answers. The block executor reads only
+// morsel_size, use_sip, subplan_cache and governor.
 #pragma once
 
 #include <cstddef>
@@ -25,21 +27,21 @@ inline constexpr size_t kDefaultMorselSize = 2048;
 
 /// \brief How a candidate's joins execute.
 struct ExecPolicy {
-  /// Vectorized column probes: HashIndex::LookupBatch over dense key
-  /// vectors, columnar candidate prefilters, and rebind-amortized point
-  /// probes. Off = the legacy tuple-at-a-time kernels (ablation axis, E14).
-  /// The block executor's guard walk probes one binding at a time either
-  /// way.
+  /// Vectorized column probes: HashIndex::LookupBatch in the cursor's
+  /// reach-driven builds, and rebind-amortized point probes in the
+  /// validator's all-tuple and coherence probes. Off = the legacy
+  /// tuple-at-a-time kernels (ablation axis, E14). The block executor
+  /// probes one binding at a time and ignores it.
   bool batch_probes = true;
 
   /// Total workers (including the calling thread) executing one candidate's
-  /// morsels; <= 1 keeps execution on the calling thread. The block
-  /// executor's guard walk (the exact extras check) is serial and ignores it.
+  /// all-tuple probe morsels; <= 1 keeps execution on the calling thread.
+  /// The block executor is serial and ignores it.
   int intra_threads = 1;
 
   /// Driving-relation tuples per morsel — also the block executor's
-  /// interrupt-poll granularity (per morsel of rows, or of index lookups in
-  /// the guard walk).
+  /// interrupt-poll granularity (per morsel of scanned rows, root bindings
+  /// or index lookups).
   size_t morsel_size = kDefaultMorselSize;
 
   /// Smallest driving relation worth dispatching to the pool; below it the
@@ -56,10 +58,11 @@ struct ExecPolicy {
   /// visit order, so results stay byte-identical. Off = ablation axis (E15).
   bool use_sip = true;
 
-  /// Cross-candidate memo of block-execution join prefixes (DESIGN.md §13);
-  /// not owned, may be null (no memoization — the --subplan-cache-mb 0
-  /// ablation cell; every path still runs, only without resuming from a
-  /// stored prefix). Verdicts and answers are cache-state invariant.
+  /// Cross-candidate memo of the exact extras check's join levels
+  /// (DESIGN.md §13); not owned, may be null (no memoization — the
+  /// --subplan-cache-mb 0 ablation cell; the check still runs, only without
+  /// resuming from a stored prefix). Guard-less ExecuteBlock calls ignore
+  /// it. Verdicts and answers are cache-state invariant.
   SubplanCache* subplan_cache = nullptr;
 
   /// The governor charged (and polled for injected faults) for

@@ -256,9 +256,6 @@ bool QueryCursor::RowPasses(const Step& step, RowId row) const {
       return false;
     }
   }
-  for (const auto& [col, val] : step.const_filters) {
-    if (step.table->column(col).at(row) != val) return false;
-  }
   for (const auto& [col, filter] : step.sip_filters) {
     if (!filter->Test(step.table->column(col).at(row))) {
       ++sip_skipped_;
@@ -321,7 +318,7 @@ void QueryCursor::FillReachCandidates(const Step& step,
         interrupted_ = true;
         return;
       }
-      (void)step.reach_index->LookupBatch(vals.data() + lo, len, &batch_buf_);
+      step.reach_index->LookupBatch(vals.data() + lo, len, &batch_buf_);
       owned->insert(owned->end(), batch_buf_.rows.begin(),
                     batch_buf_.rows.end());
     }

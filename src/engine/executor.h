@@ -148,8 +148,6 @@ class QueryCursor {
     std::vector<KeySource> key_sources;
     // Same-instance equality filters col_a = col_b.
     std::vector<std::pair<ColumnId, ColumnId>> self_filters;
-    // Leftover constant filters col = value.
-    std::vector<std::pair<ColumnId, ValueId>> const_filters;
     // Sideways-information-passing filters: a row of this step is skipped
     // when its `first` column's value is provably absent from a later join
     // partner's join column (`second`: that column's presence bitmap, or a

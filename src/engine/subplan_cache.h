@@ -3,13 +3,12 @@
 // Convoy candidates share long join prefixes: the block executor joins
 // instances in a deterministic smallest-table-first order, so two candidates
 // whose queries agree on the first k placed instances (tables, join key
-// sources, selections, self joins, and on the guard path the interface
-// columns the suffix reads) recompute the same intermediate relation. This
-// cache stores those intermediates — flat RowId matrices, as ExecuteBlock
-// materializes them or as its guard walk completed them — keyed by a
-// canonical prefix signature, so the second and later candidates of a
-// convoy resume from the deepest cached prefix instead of rejoining from
-// scratch.
+// sources, selections, self joins, and the interface columns the suffix
+// reads) recompute the same deduped join level. This cache stores those
+// levels — flat RowId matrices, as the guarded walk of ExecuteBlock
+// completed them — keyed by a canonical prefix signature, so the second and
+// later candidates of a convoy resume from the deepest cached prefix instead
+// of rejoining from scratch. Guard-less calls neither read nor fill it.
 //
 // The cache lives in the engine layer (block_executor is the producer and
 // consumer) and therefore keeps its own counters instead of depending on
@@ -30,22 +29,15 @@
 
 namespace fastqre {
 
-/// \brief One memoized intermediate relation: the block executor's flat
-/// row-major binding matrix after some join-prefix, plus the pre-filter
-/// enumeration count that produced it. Immutable after insertion; consumers
-/// hold it through a shared_ptr pin, so eviction never invalidates a reader.
+/// \brief One memoized join level: the block executor's flat row-major
+/// binding matrix after some join-prefix. Immutable after insertion;
+/// consumers hold it through a shared_ptr pin, so eviction never invalidates
+/// a reader.
 struct SubplanTable {
   // gov: charged — Insert charges stored tables to the governor
   // ("subplan-build"); rejected tables are transient caller-owned copies.
   std::vector<RowId> rows;  // width RowIds per binding row
   size_t width = 0;
-  /// Pre-filter match rows enumerated while computing this prefix (the
-  /// block executor's `produced` counter). Replayed into the consumer's
-  /// counter on a hit so the intermediate-size-cap verdict is identical
-  /// whether the prefix was recomputed or served from cache (cache-state
-  /// invariance). Materializing path only: the guard walk caps each level
-  /// separately, and stores and replays 0.
-  uint64_t enumerated = 0;
   size_t bytes = 0;  // estimated resident size (budget accounting)
 };
 
@@ -57,8 +49,9 @@ struct SubplanTable {
 /// Eviction: LRU by table bytes down to `budget_bytes`; evicted entries keep
 /// their use counters, so a re-hot prefix is re-admitted on its next
 /// insert offer. Concurrency: Lookup/Insert are independently atomic; two
-/// workers racing to insert the same key store byte-identical tables (block
-/// intermediates are execution-configuration invariant), first wins.
+/// workers racing to insert the same key store byte-identical tables (a
+/// level's deduped bindings are a function of its signature and the data),
+/// first wins.
 class SubplanCache {
  public:
   using Signature = std::vector<uint32_t>;

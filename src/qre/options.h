@@ -84,27 +84,28 @@ struct QreOptions {
   int validation_queue_capacity = 0;
 
   /// Workers (including the validating thread itself) executing morsels
-  /// *inside* one candidate's materializing checks — block evaluation and
-  /// the per-R_out-tuple probe pass (DESIGN.md §12). 1 (the default) keeps
-  /// every candidate on its own validation thread. N > 1 dispatches morsels
-  /// onto an engine-owned pool shared across validation threads; morsel
-  /// results merge in morsel-index order, so answers stay byte-identical at
-  /// any setting.
+  /// *inside* one candidate's per-R_out-tuple probe pass, the all-tuple
+  /// probe (DESIGN.md §12). 1 (the default) keeps every candidate on its
+  /// own validation thread. N > 1 dispatches morsels onto an engine-owned
+  /// pool shared across validation threads; the pass's verdict is a
+  /// conjunction over tuples, so answers stay byte-identical at any
+  /// setting. The block executor is serial and ignores it.
   int intra_candidate_threads = 1;
 
-  /// Driving-relation tuples per morsel for intra-candidate execution —
-  /// also the block executor's interrupt-poll granularity (a deadline or
-  /// Cancel() lands within one morsel of work). Clamped to >= 1.
+  /// R_out tuples per all-tuple probe morsel — also the block executor's
+  /// interrupt-poll granularity (a deadline or Cancel() lands within one
+  /// morsel of work). Clamped to >= 1.
   int morsel_size = 2048;
 
-  /// Smallest driving relation (rows) dispatched to the intra-candidate
-  /// pool; below it morsels stay on the validating thread.
+  /// Smallest R_out (rows) whose all-tuple probe is dispatched to the
+  /// intra-candidate pool; below it morsels stay on the validating thread.
   int intra_row_threshold = 4096;
 
-  /// Vectorized (batched) column probes: HashIndex::LookupBatch over dense
-  /// key vectors, columnar span filters in the block executor, and
-  /// rebind-amortized point probes in the validator. Off = the legacy
-  /// tuple-at-a-time kernels (ablation axis, experiment E14). Results are
+  /// Vectorized (batched) column probes: HashIndex::LookupBatch in the
+  /// cursor's reach-driven builds, and rebind-amortized point probes in the
+  /// validator's all-tuple and coherence probes. Off = the legacy
+  /// tuple-at-a-time kernels (ablation axis, experiment E14). The block
+  /// executor probes one binding at a time and ignores it. Results are
   /// byte-identical either way.
   bool use_batched_probes = true;
 
@@ -134,18 +135,18 @@ struct QreOptions {
   bool use_sip = true;
 
   /// Byte budget of the cross-candidate subplan memoization cache
-  /// (SubplanCache): block-execution join prefixes, keyed by canonical
-  /// prefix signature and shared across convoy candidates. 0 disables
-  /// memoization only: the exact extras check runs the same depth-first
-  /// block walk either way, without resuming from cached prefixes (the
-  /// --subplan-cache-mb 0 ablation cell of E15). Never changes accepted
-  /// answers (DESIGN.md §13).
+  /// (SubplanCache): the exact extras check's deduped join levels, keyed by
+  /// canonical prefix signature and shared across convoy candidates. 0
+  /// disables memoization only: the exact extras check runs the same
+  /// depth-first block walk either way, without resuming from cached
+  /// prefixes (the --subplan-cache-mb 0 ablation cell of E15). Guard-less
+  /// block evaluation (non-progressive validation) never uses the cache.
+  /// Never changes accepted answers (DESIGN.md §13).
   uint64_t subplan_cache_budget_bytes = 64ull << 20;
 
-  /// Admission threshold of the subplan cache: a join prefix is snapshotted
-  /// once it has been requested this many times. 1 (the default) caches on
-  /// first execution — convoy candidates reuse prefixes immediately, and the
-  /// snapshot is a flat memcpy of an intermediate that was just built anyway.
+  /// Admission threshold of the subplan cache: a join level is kept once
+  /// its prefix has been requested this many times. 1 (the default) caches
+  /// on first execution, so convoy candidates reuse prefixes immediately.
   int subplan_cache_admission = 1;
 
   // --- Ablation toggles (experiment E4). All on by default. ---------------

@@ -476,10 +476,11 @@ CandidateOutcome Validator::FullCheck(const CandidateQuery& candidate,
   }
 
   if (!options_->use_progressive_validation) {
-    // The paper's "single block operation": materialize Q(D) in full with
-    // the block executor, then compare. No early exit of any kind. The block
-    // executor knows nothing of virtual joins, so the unsubstituted query is
-    // used here.
+    // The paper's "single block operation": evaluate Q(D) in full with a
+    // guard-less block executor call, which enumerates every binding of the
+    // join and memoizes nothing, then compare. No early exit of any kind.
+    // The block executor knows nothing of virtual joins, so the
+    // unsubstituted query is used here.
     BlockRunStats brs;
     auto result = ExecuteBlock(*db_, candidate.query, "block", budget_exceeded_,
                                policy_, nullptr, nullptr, &brs);

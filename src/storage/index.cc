@@ -58,8 +58,8 @@ bool HashIndex::BuildRows(const Table& table,
   return true;
 }
 
-size_t HashIndex::LookupBatch(const ValueId* keys, size_t n,
-                              BatchMatches* out, size_t max_rows) const {
+void HashIndex::LookupBatch(const ValueId* keys, size_t n,
+                            BatchMatches* out) const {
   out->rows.clear();
   out->offsets.clear();
   out->offsets.reserve(n + 1);
@@ -79,9 +79,7 @@ size_t HashIndex::LookupBatch(const ValueId* keys, size_t n,
     }
     out->rows.insert(out->rows.end(), last.begin(), last.end());
     out->offsets.push_back(out->rows.size());
-    if (max_rows > 0 && out->rows.size() >= max_rows) return i + 1;
   }
-  return n;
 }
 
 }  // namespace fastqre

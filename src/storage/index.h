@@ -86,13 +86,8 @@ class HashIndex {
   /// key's posting list in index row order — byte-identical to probing the
   /// same keys one at a time with Lookup1 / Lookup. `keys` holds `n` keys of
   /// width columns().size(), laid out key-major (key i starts at
-  /// keys[i * width]); missing keys contribute an empty extent. When
-  /// `max_rows` > 0 the batch stops early once out->rows reaches it (a
-  /// single key's matches are never split, so at least one key is always
-  /// consumed when n > 0 — the caller can bound its scratch buffer without
-  /// losing progress). Returns the number of keys consumed.
-  size_t LookupBatch(const ValueId* keys, size_t n, BatchMatches* out,
-                     size_t max_rows = 0) const;
+  /// keys[i * width]); missing keys contribute an empty extent.
+  void LookupBatch(const ValueId* keys, size_t n, BatchMatches* out) const;
 
   /// Resident bytes (key table, offsets, posting array), computed once at
   /// build time. Charged to the resource governor by the database's index

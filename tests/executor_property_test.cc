@@ -106,11 +106,14 @@ TEST_P(ExecutorDifferential, SameInstanceFilterAgrees) {
 
 TEST_P(ExecutorDifferential, SipAndSubplanCacheAreSemanticsPreserving) {
   // DESIGN.md §13: SIP filters and subplan memoization may only skip work,
-  // never change results. Every {use_sip} × {subplan cache} × {kernel}
-  // configuration must emit a byte-identical relation (CSV compare: row
-  // order included) and match the brute-force reference. The cache is
-  // shared across all trials of a seed, so later trials really consume
-  // prefixes stored by earlier ones (admission 0 stores on first offer).
+  // never change results. A guard-less ExecuteBlock must emit a
+  // byte-identical relation (CSV compare: row order included) under every
+  // {use_sip} × {morsel size} configuration and match the brute-force
+  // reference. The guarded walk, with that reference as its guard, must
+  // report no violation and return the same relation under every
+  // {use_sip} × {subplan cache} cell. The caches are shared across all
+  // trials of a seed, so later trials really consume prefixes stored by
+  // earlier ones (admission 0 stores on first offer).
   const uint64_t seed = GetParam();
   RandomDbOptions db_opts;
   db_opts.seed = seed;
@@ -133,29 +136,39 @@ TEST_P(ExecutorDifferential, SipAndSubplanCacheAreSemanticsPreserving) {
     const TupleSet expected = BruteForce(db, wq->query);
     ExecPolicy off;
     off.use_sip = false;
-    const std::string baseline =
-        TableToCsv(ExecuteBlock(db, wq->query, "block", {}, off).ValueOrDie());
-    ASSERT_EQ(TableToTupleSet(
-                  ExecuteBlock(db, wq->query, "block", {}, off).ValueOrDie()),
-              expected)
+    const Table reference =
+        ExecuteBlock(db, wq->query, "block", {}, off).ValueOrDie();
+    ASSERT_EQ(TableToTupleSet(reference), expected)
         << "seed " << seed << " trial " << trial << "\n"
         << wq->query.ToSql(db);
+    const std::string baseline = TableToCsv(reference);
     for (bool sip : {false, true}) {
+      for (size_t morsel : {size_t{1}, size_t{7}, size_t{2048}}) {
+        ExecPolicy p;
+        p.use_sip = sip;
+        p.morsel_size = morsel;
+        auto got = ExecuteBlock(db, wq->query, "block", {}, p);
+        ASSERT_TRUE(got.ok()) << "seed " << seed << " trial " << trial;
+        EXPECT_EQ(TableToCsv(*got), baseline)
+            << "seed " << seed << " trial " << trial << " sip=" << sip
+            << " morsel=" << morsel << "\n"
+            << wq->query.ToSql(db);
+      }
       for (SubplanCache* memo : {static_cast<SubplanCache*>(nullptr), &cache,
                                  &tiny_cache}) {
-        for (bool batch : {false, true}) {
-          ExecPolicy p;
-          p.use_sip = sip;
-          p.subplan_cache = memo;
-          p.batch_probes = batch;
-          auto got = ExecuteBlock(db, wq->query, "block", {}, p);
-          ASSERT_TRUE(got.ok()) << "seed " << seed << " trial " << trial;
-          EXPECT_EQ(TableToCsv(*got), baseline)
-              << "seed " << seed << " trial " << trial << " sip=" << sip
-              << " memo=" << (memo == &cache ? "64M" : memo ? "512B" : "off")
-              << " batch=" << batch << "\n"
-              << wq->query.ToSql(db);
-        }
+        ExecPolicy p;
+        p.use_sip = sip;
+        p.subplan_cache = memo;
+        bool violated = true;
+        auto got = ExecuteBlock(db, wq->query, "block", {}, p, &expected,
+                                &violated);
+        ASSERT_TRUE(got.ok()) << "seed " << seed << " trial " << trial;
+        EXPECT_FALSE(violated);
+        EXPECT_EQ(TableToCsv(*got), baseline)
+            << "seed " << seed << " trial " << trial << " sip=" << sip
+            << " memo=" << (memo == &cache ? "64M" : memo ? "512B" : "off")
+            << "\n"
+            << wq->query.ToSql(db);
       }
     }
     // The pipelined cursor honours the same policy bit: SIP on and off must

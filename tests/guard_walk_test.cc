@@ -8,8 +8,9 @@
 // subset of the guard, return the guard-less table byte-for-byte when it
 // reports none, reach the same outcome in every cache state, and leave the
 // governor's tracked bytes at rest. Further cases pin the early exit as an
-// enumeration count, the interface-dedup bail-out, and sibling guard
-// queries from four threads against one shared cache and database.
+// enumeration count, the guard-less call's whole-join cost and cache
+// bypass, the interface-dedup bail-out, and sibling guard queries from four
+// threads against one shared cache and database.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -306,6 +307,41 @@ TEST(GuardWalk, FirstExtraTupleStopsBeforeTheFanOutMaterializes) {
     EXPECT_TRUE(o.violated);
     EXPECT_LT(stats.rows_enumerated, 2 * kFanOut) << "cache " << with_cache;
   }
+}
+
+// The two call shapes as counts on an 8 x 1000 fan-out with 3 interface
+// classes. A guard-less call pays the whole join: 8,000 b matches, then one
+// c match per b row. It neither reads nor fills a cache in its policy. The
+// guarded call collapses the b level to its 3 classes: 8,000 b matches,
+// then 3 c matches.
+TEST(GuardWalk, GuardlessCallPaysTheWholeJoinAndBypassesTheCache) {
+  Database db = ChainDb(/*a_rows=*/8, /*fan_out=*/1000, /*mod=*/3);
+  const PJQuery q = ChainQuery();
+  BlockRunStats plain;
+  auto table =
+      ExecuteBlock(db, q, "block", {}, ExecPolicy(), nullptr, nullptr, &plain);
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(plain.rows_enumerated, 16000u);
+
+  BlockRunStats guarded;
+  const Outcome o =
+      RunGuarded(db, q, TableToTupleSet(*table), ExecPolicy(), &guarded);
+  ASSERT_EQ(o.code, StatusCode::kOk);
+  EXPECT_FALSE(o.violated);
+  EXPECT_EQ(o.csv, TableToCsv(*table));
+  EXPECT_EQ(guarded.rows_enumerated, 8003u);
+
+  SubplanCache cache(64 << 20, 0);
+  ExecPolicy p;
+  p.subplan_cache = &cache;
+  BlockRunStats cached;
+  auto again = ExecuteBlock(db, q, "block", {}, p, nullptr, nullptr, &cached);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(TableToCsv(*again), TableToCsv(*table));
+  EXPECT_EQ(cached.rows_enumerated, 16000u);
+  EXPECT_EQ(cached.subplan_hits, 0u);
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
 }
 
 // Past kDedupSampleRows bindings a level that barely collapses stops

@@ -108,7 +108,7 @@ TEST(HashIndexLookupBatch, MatchesLookup1OnSingleColumn) {
   for (RowId r = 0; r < t.num_rows(); ++r) keys.push_back(t.column(0).at(r));
   keys.push_back(kNullValueId);
   BatchMatches out;
-  EXPECT_EQ(index.LookupBatch(keys.data(), keys.size(), &out), keys.size());
+  index.LookupBatch(keys.data(), keys.size(), &out);
   ASSERT_EQ(out.num_keys(), keys.size());
   auto extents = Extents(out);
   for (size_t i = 0; i + 1 < keys.size(); ++i) {
@@ -130,7 +130,7 @@ TEST(HashIndexLookupBatch, MatchesLookupOnMultiColumn) {
   keys.push_back(t.column(1).at(1));
   const size_t n = keys.size() / 2;
   BatchMatches out;
-  EXPECT_EQ(index.LookupBatch(keys.data(), n, &out), n);
+  index.LookupBatch(keys.data(), n, &out);
   ASSERT_EQ(out.num_keys(), n);
   auto extents = Extents(out);
   for (size_t i = 0; i + 1 < n; ++i) {
@@ -144,39 +144,17 @@ TEST(HashIndexLookupBatch, EmptyBatchAndAllMisses) {
   Table t = MakeTable({{1, 10}, {2, 20}});
   HashIndex index(t, {0});
   BatchMatches out;
-  EXPECT_EQ(index.LookupBatch(nullptr, 0, &out), 0u);
+  index.LookupBatch(nullptr, 0, &out);
   EXPECT_EQ(out.num_keys(), 0u);
   EXPECT_TRUE(out.rows.empty());
   // All-miss batch: every key absent, every extent empty, offsets intact.
   std::vector<ValueId> misses(5, kNullValueId);
-  EXPECT_EQ(index.LookupBatch(misses.data(), misses.size(), &out),
-            misses.size());
+  index.LookupBatch(misses.data(), misses.size(), &out);
   ASSERT_EQ(out.num_keys(), misses.size());
   EXPECT_TRUE(out.rows.empty());
   for (size_t i = 0; i < out.num_keys(); ++i) {
     EXPECT_EQ(out.begin_of(i), out.end_of(i));
   }
-}
-
-TEST(HashIndexLookupBatch, MaxRowsStopsBetweenKeysNeverSplitsOne) {
-  // Key 1 has three matching rows; key 2 has one; key 3 has one.
-  Table t = MakeTable({{1, 10}, {1, 20}, {1, 30}, {2, 40}, {3, 50}});
-  HashIndex index(t, {0});
-  std::vector<ValueId> keys = {t.column(0).at(0), t.column(0).at(3),
-                               t.column(0).at(4)};
-  // A cap smaller than key 1's extent still consumes key 1 whole (progress
-  // guarantee: >= 1 key per call), but stops before key 2.
-  BatchMatches out;
-  EXPECT_EQ(index.LookupBatch(keys.data(), keys.size(), &out, 2), 1u);
-  ASSERT_EQ(out.num_keys(), 1u);
-  EXPECT_EQ(Extents(out)[0], Vec(index.Lookup1(keys[0])));
-  // Resuming from the consumed prefix drains the rest.
-  EXPECT_EQ(index.LookupBatch(keys.data() + 1, keys.size() - 1, &out, 2), 2u);
-  EXPECT_EQ(out.num_keys(), 2u);
-  // A cap of zero means unlimited.
-  EXPECT_EQ(index.LookupBatch(keys.data(), keys.size(), &out, 0), 3u);
-  EXPECT_EQ(out.num_keys(), 3u);
-  EXPECT_EQ(out.rows.size(), 5u);
 }
 
 TEST(HashIndexLookupBatch, DuplicateKeysInOneMorsel) {
@@ -187,7 +165,8 @@ TEST(HashIndexLookupBatch, DuplicateKeysInOneMorsel) {
   // Adjacent and non-adjacent duplicates both reproduce the full extent.
   std::vector<ValueId> keys = {one, one, two, one};
   BatchMatches out;
-  EXPECT_EQ(index.LookupBatch(keys.data(), keys.size(), &out), keys.size());
+  index.LookupBatch(keys.data(), keys.size(), &out);
+  ASSERT_EQ(out.num_keys(), keys.size());
   auto extents = Extents(out);
   EXPECT_EQ(extents[0], (std::vector<RowId>{0, 2}));
   EXPECT_EQ(extents[1], (std::vector<RowId>{0, 2}));
@@ -251,7 +230,7 @@ BruteIndex BruteForce(const Table& t, const std::vector<ColumnId>& cols) {
 }
 
 // Checks every key of `want` (and a few misses) through Lookup, Lookup1 and
-// LookupBatch, with and without a row cap.
+// LookupBatch.
 void ExpectMatchesBruteForce(const HashIndex& index, const BruteIndex& want,
                              Rng* rng, const std::string& label) {
   const size_t width = index.columns().size();
@@ -280,21 +259,13 @@ void ExpectMatchesBruteForce(const HashIndex& index, const BruteIndex& want,
   }
   std::vector<ValueId> flat;
   for (const auto& k : order) flat.insert(flat.end(), k.begin(), k.end());
-  for (size_t cap : {size_t{0}, size_t{1}, size_t{5}}) {
-    BatchMatches out;
-    size_t done = 0;
-    while (done < order.size()) {
-      const size_t consumed = index.LookupBatch(
-          flat.data() + done * width, order.size() - done, &out, cap);
-      ASSERT_GE(consumed, 1u) << label;
-      ASSERT_EQ(out.num_keys(), consumed) << label;
-      for (size_t i = 0; i < consumed; ++i) {
-        EXPECT_EQ(std::vector<RowId>(out.begin_of(i), out.end_of(i)),
-                  Vec(index.Lookup(order[done + i])))
-            << label << " cap " << cap;
-      }
-      done += consumed;
-    }
+  BatchMatches out;
+  index.LookupBatch(flat.data(), order.size(), &out);
+  ASSERT_EQ(out.num_keys(), order.size()) << label;
+  for (size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(std::vector<RowId>(out.begin_of(i), out.end_of(i)),
+              Vec(index.Lookup(order[i])))
+        << label;
   }
 }
 
@@ -368,7 +339,7 @@ TEST(HashIndexConcurrency, ConcurrentReadersSeeTheSamePostings) {
         }
         for (const auto& [key, rows] : want_multi) {
           if (Vec(multi.Lookup(key)) != rows) ++failures[w];
-          (void)multi.LookupBatch(key.data(), 1, &out);
+          multi.LookupBatch(key.data(), 1, &out);
           if (std::vector<RowId>(out.begin_of(0), out.end_of(0)) != rows) {
             ++failures[w];
           }

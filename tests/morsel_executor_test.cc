@@ -1,10 +1,12 @@
-// Differential harness for morsel-driven intra-candidate execution
-// (DESIGN.md §12): over every random-db scenario of the executor property
-// test, the block executor and the pipelined cursor must produce
-// byte-identical results across {scalar, batched} probe kernels × {1, 8}
-// intra-candidate threads × morsel sizes {1, 7, 2048}, with every governor
-// charge released; Reverse() must return byte-identical ranked SQL across
-// the same matrix; and an interrupt must land within one morsel of work.
+// Differential harness for the execution policy (DESIGN.md §12): over every
+// random-db scenario of the executor property test, the block executor must
+// produce byte-identical results across SIP {off, on} × morsel sizes
+// {1, 7, 2048} (the only policy fields it reads besides the cache and the
+// governor), with every governor charge released; the pipelined cursor must
+// stream identical rows under the scalar and batched probe kernels;
+// Reverse() must return byte-identical ranked SQL across kernels ×
+// intra-candidate threads; and an interrupt must land within one morsel of
+// work.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +15,6 @@
 
 #include "common/resource_governor.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "datagen/randomdb.h"
 #include "datagen/tpch.h"
 #include "datagen/workload.h"
@@ -27,30 +28,23 @@
 namespace fastqre {
 namespace {
 
-// The full execution-policy matrix of the differential harness. intra
-// threshold 1 forces even tiny driving relations onto the pool, so the
-// parallel merge path is really exercised on small test databases.
-std::vector<ExecPolicy> PolicyMatrix(ThreadPool* pool) {
+// The block executor's policy matrix: SIP × morsel size (its interrupt-poll
+// granularity).
+std::vector<ExecPolicy> BlockPolicyMatrix() {
   std::vector<ExecPolicy> out;
-  for (bool batch : {false, true}) {
-    for (int threads : {1, 8}) {
-      for (size_t morsel : {size_t{1}, size_t{7}, size_t{2048}}) {
-        ExecPolicy p;
-        p.batch_probes = batch;
-        p.intra_threads = threads;
-        p.morsel_size = morsel;
-        p.intra_threshold = 1;
-        p.pool = threads > 1 ? pool : nullptr;
-        out.push_back(p);
-      }
+  for (bool sip : {false, true}) {
+    for (size_t morsel : {size_t{1}, size_t{7}, size_t{2048}}) {
+      ExecPolicy p;
+      p.use_sip = sip;
+      p.morsel_size = morsel;
+      out.push_back(p);
     }
   }
   return out;
 }
 
 std::string PolicyName(const ExecPolicy& p) {
-  return std::string(p.batch_probes ? "batched" : "scalar") + "/t" +
-         std::to_string(p.intra_threads) + "/m" +
+  return std::string(p.use_sip ? "sip" : "nosip") + "/m" +
          std::to_string(p.morsel_size);
 }
 
@@ -66,9 +60,9 @@ Database SeededRandomDb(uint64_t seed) {
 
 class MorselDifferential : public ::testing::TestWithParam<uint64_t> {};
 
-// Block executor: every (kernel, threads, morsel-size) configuration must
-// emit the same relation byte-for-byte (row order included — the morsel
-// merge is in morsel-index order, so the stream is config-independent).
+// Block executor: every (SIP, morsel-size) configuration must emit the same
+// relation byte-for-byte (row order included — the walk meets tuples in
+// nested-loop order whatever the policy).
 TEST_P(MorselDifferential, BlockExecutorMatrixIsByteIdentical) {
   const uint64_t seed = GetParam();
   Database db = SeededRandomDb(seed);
@@ -77,8 +71,7 @@ TEST_P(MorselDifferential, BlockExecutorMatrixIsByteIdentical) {
   q_opts.num_instances = 2 + static_cast<int>(seed % 2);
   q_opts.num_projections = 2;
   q_opts.min_rout_rows = 0;
-  ThreadPool pool(7);
-  const std::vector<ExecPolicy> matrix = PolicyMatrix(&pool);
+  const std::vector<ExecPolicy> matrix = BlockPolicyMatrix();
   for (int trial = 0; trial < 5; ++trial) {
     auto wq = RandomCpjQuery(db, &rng, q_opts);
     if (!wq.ok()) continue;
@@ -184,8 +177,7 @@ TEST(MorselExecutor, GovernorBalancedAcrossMatrix) {
   // Warm-up builds (and permanently charges) the plan's hash indexes.
   (void)ExecuteBlock(db, wq->query, "block").ValueOrDie();
   const uint64_t resting = governor->tracked_bytes();
-  ThreadPool pool(7);
-  for (const ExecPolicy& p : PolicyMatrix(&pool)) {
+  for (const ExecPolicy& p : BlockPolicyMatrix()) {
     (void)ExecuteBlock(db, wq->query, "block", {}, p).ValueOrDie();
     EXPECT_EQ(governor->tracked_bytes(), resting) << PolicyName(p);
   }

@@ -27,7 +27,6 @@ SubplanCache::Handle MakeTable(size_t n, size_t bytes) {
   auto t = std::make_shared<SubplanTable>();
   t->width = 2;
   t->rows.assign(n * t->width, RowId{0});
-  t->enumerated = n;
   t->bytes = bytes;
   return t;
 }
@@ -40,7 +39,6 @@ TEST(SubplanCache, InsertLookupRoundTrip) {
   SubplanCache::Handle got = cache.Lookup(sig);
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->rows.size(), 8u);
-  EXPECT_EQ(got->enumerated, 4u);
   EXPECT_EQ(cache.bytes(), 64u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
@@ -84,7 +82,6 @@ TEST(SubplanCache, EvictionNeverInvalidatesPinnedReaders) {
   EXPECT_EQ(cache.Lookup({5}), nullptr);
   // The pinned handle still reads the full table.
   EXPECT_EQ(pinned->rows.size(), 6u);
-  EXPECT_EQ(pinned->enumerated, 3u);
 }
 
 TEST(SubplanCache, GovernorChargedOnInsertReleasedOnEviction) {

@@ -16,14 +16,15 @@
 //       validates candidates on N worker threads; the answer is identical
 //       to a single-threaded run (rank-deterministic), just faster.
 //       --intra-threads N additionally runs morsels *inside* one candidate's
-//       block evaluation and probe passes on N workers; --morsel-size sets
-//       the tuples-per-morsel granularity and --no-batch falls back to the
-//       scalar probe kernels (DESIGN.md §12) — all three leave the answer
+//       all-tuple probe pass on N workers; --morsel-size sets the
+//       tuples-per-morsel granularity (also the block executor's
+//       interrupt-poll stride) and --no-batch falls back to the scalar
+//       probe kernels (DESIGN.md §12) — all three leave the answer
 //       byte-identical.
 //       --no-sip disables sideways-information-passing bitmap filters and
-//       --subplan-cache-mb sets the cross-candidate subplan memoization
-//       budget (0 disables; DESIGN.md §13) — the E15 ablation axes, again
-//       answer-preserving.
+//       --subplan-cache-mb sets the budget of the exact extras check's
+//       cross-candidate subplan memoization (0 disables; DESIGN.md §13) —
+//       the E15 ablation axes, again answer-preserving.
 //       --memory-budget-mb caps the tracked search-path allocations
 //       (DESIGN.md §11; 0 = unlimited); --cancel-after fires Cancel() from a
 //       watchdog thread after S seconds — the external-cancellation test
