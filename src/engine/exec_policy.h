@@ -34,8 +34,8 @@ struct ExecPolicy {
   /// probes one binding at a time and ignores it.
   bool batch_probes = true;
 
-  /// Total workers (including the calling thread) executing one candidate's
-  /// all-tuple probe morsels; <= 1 keeps execution on the calling thread.
+  /// Total workers (calling thread included) running the all-tuple probe's
+  /// morsels (superset proofs, exact dismissals); <= 1 stays on the caller.
   /// The block executor is serial and ignores it.
   int intra_threads = 1;
 

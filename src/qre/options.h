@@ -84,12 +84,12 @@ struct QreOptions {
   int validation_queue_capacity = 0;
 
   /// Workers (including the validating thread itself) executing morsels
-  /// *inside* one candidate's per-R_out-tuple probe pass, the all-tuple
-  /// probe (DESIGN.md §12). 1 (the default) keeps every candidate on its
-  /// own validation thread. N > 1 dispatches morsels onto an engine-owned
-  /// pool shared across validation threads; the pass's verdict is a
-  /// conjunction over tuples, so answers stay byte-identical at any
-  /// setting. The block executor is serial and ignores it.
+  /// *inside* one candidate's all-tuple probe (DESIGN.md §12), which runs
+  /// for superset candidates and for exact ones the extras walk dismissed.
+  /// 1 (the default) keeps each candidate on its validation thread; N > 1
+  /// dispatches morsels onto an engine-owned pool shared across validation
+  /// threads. The probe is a conjunction over tuples, so answers stay
+  /// byte-identical at any setting. The block executor ignores it.
   int intra_candidate_threads = 1;
 
   /// R_out tuples per all-tuple probe morsel — also the block executor's

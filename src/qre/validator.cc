@@ -321,9 +321,7 @@ bool Validator::WalkCoherent(int walk_id) {
 CandidateOutcome Validator::AllTupleProbe(const Execution& exec) {
   // Advanced probing (the multi-tuple horizontal check of Appendix A, whose
   // text is unavailable; this is our design): verify R_out ⊆ Q(D) with one
-  // index-backed point probe per R_out tuple, instead of streaming Q(D) —
-  // which, for subset-failing candidates under exact semantics, would have
-  // to drain the entire (possibly huge) result before concluding "missing".
+  // index-backed point probe per R_out tuple.
   const size_t rows = rout_->num_rows();
   if (rows == 0) return CandidateOutcome::kGenerating;
   PJQuery probe = exec.query;
@@ -442,18 +440,11 @@ CandidateOutcome Validator::FullCheck(const CandidateQuery& candidate,
   ++stats_->full_validations;
 
   if (options_->use_probing) {
-    CandidateOutcome subset = AllTupleProbe(exec);
-    if (subset != CandidateOutcome::kGenerating) return subset;
-    if (options_->variant == QreVariant::kSuperset) {
-      return CandidateOutcome::kGenerating;  // superset needs nothing more
-    }
-    // Exact: R_out ⊆ Q(D) holds; it remains to rule out extra tuples. The
-    // block executor's guard path (DESIGN.md §13) walks the join depth-first
-    // and stops at the first distinct tuple outside R_out; with a subplan
-    // cache it also resumes from the deepest join prefix a convoy sibling
-    // completed. It knows nothing of virtual joins, so the unsubstituted
-    // query is used (prefix signatures then align across the convoy
-    // regardless of which walks were materialized).
+    if (options_->variant == QreVariant::kSuperset) return AllTupleProbe(exec);
+    // Exact: the extras walk (DESIGN.md §13) stops at the first distinct
+    // tuple outside R_out and resumes from a convoy sibling's cached prefix.
+    // It knows nothing of virtual joins, so it runs the unsubstituted query
+    // (prefix signatures then align whichever walks were materialized).
     bool violated = false;
     BlockRunStats brs;
     auto result = ExecuteBlock(*db_, candidate.query, "extras",
@@ -462,17 +453,24 @@ CandidateOutcome Validator::FullCheck(const CandidateQuery& candidate,
     stats_->validation_rows += brs.rows_enumerated;
     stats_->fullscan_rows += brs.rows_enumerated;
     stats_->sip_rows_skipped += brs.sip_rows_skipped;
-    if (!result.ok()) {
-      if (result.status().code() == StatusCode::kResourceExhausted) {
-        // Global stop vs candidate-local exhaustion, exactly as in the
-        // non-progressive block path below.
-        return BudgetExceeded() ? CandidateOutcome::kBudgetExhausted
-                                : CandidateOutcome::kError;
-      }
-      return CandidateOutcome::kError;
+    // A walk that met no tuple outside R_out returned the whole distinct Q(D)
+    // (§13, *Order*): Q(D) ⊆ R_out, and equality is a count.
+    if (result.ok() && !violated) {
+      return result->num_rows() == rout_set_->size()
+                 ? CandidateOutcome::kGenerating
+                 : CandidateOutcome::kMissingTuples;
     }
-    return violated ? CandidateOutcome::kExtraTuples
-                    : CandidateOutcome::kGenerating;
+    // Unless a global stop ended the walk, missing tuples outrank its extra
+    // tuple or candidate-local failure, so the probe classifies the dismissal.
+    if (!result.ok() &&
+        result.status().code() == StatusCode::kResourceExhausted &&
+        BudgetExceeded()) {
+      return CandidateOutcome::kBudgetExhausted;
+    }
+    const CandidateOutcome subset = AllTupleProbe(exec);
+    if (subset != CandidateOutcome::kGenerating) return subset;
+    return result.ok() ? CandidateOutcome::kExtraTuples
+                       : CandidateOutcome::kError;
   }
 
   if (!options_->use_progressive_validation) {

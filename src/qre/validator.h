@@ -10,8 +10,10 @@
 //  2. Indirect column coherence: each walk's join-path subquery must cover
 //     pi(R_out) on the walk's endpoint columns; verdicts are memoized in
 //     Feedback and shared across candidates (lazy, per Section 4.5).
-//  3. Progressive full evaluation: stream Q(D) one tuple at a time and stop
-//     at the first contradiction.
+//  3. Full check. Superset: the all-tuple probe. Exact: the depth-first
+//     extras walk; one that meets no tuple outside R_out returned all of
+//     Q(D), so a count decides, and the probe only classifies dismissals.
+//     With probing off, Q(D) is streamed (or, non-progressive, built whole).
 #pragma once
 
 #include <functional>
@@ -78,8 +80,8 @@ class Validator {
   /// Coherence of a materialized walk straight off its cached relation; no
   /// subquery execution. `verdict` is set iff the cached check applies.
   bool TryCachedCoherence(const Walk& walk, bool* verdict);
-  /// Establishes R_out ⊆ Q(D) by point-probing every R_out tuple
-  /// (kGenerating = containment holds).
+  /// Point-probes every R_out tuple; kGenerating = R_out ⊆ Q(D). Proves
+  /// superset candidates and classifies exact ones the extras walk dismissed.
   CandidateOutcome AllTupleProbe(const Execution& exec);
   CandidateOutcome FullCheck(const CandidateQuery& candidate,
                              const Execution& exec);

@@ -1,11 +1,24 @@
 // Unit tests for the Query Validation module (Section 4.5): probing,
-// indirect coherence, progressive evaluation, outcome classification.
+// indirect coherence, progressive evaluation, outcome classification, the
+// full check's order (extras walk first, the all-tuple probe classifying its
+// dismissals), and a classification property test against brute force over
+// random databases.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "brute_force.h"
+#include "common/resource_governor.h"
+#include "common/rng.h"
+#include "datagen/randomdb.h"
 #include "datagen/tpch.h"
 #include "datagen/workload.h"
 #include "engine/builder.h"
 #include "engine/executor.h"
+#include "engine/subplan_cache.h"
 #include "qre/cgm.h"
 #include "qre/column_cover.h"
 #include "qre/composer.h"
@@ -42,6 +55,14 @@ struct ValidatorFixture {
     EXPECT_TRUE(e.Next(&mapping));
     walks = DiscoverWalks(db, mapping, opts);
     feedback = std::make_unique<Feedback>(walks.size());
+  }
+
+  // Appends a row of a value no database column holds, which no query can
+  // generate.
+  void AppendAbsentRow() {
+    const ValueId absent = db.dictionary()->Intern(Value("no-such-value"));
+    rout.AppendRowIds(std::vector<ValueId>(rout.num_columns(), absent));
+    rout_set = TableToTupleSet(rout);
   }
 
   Validator MakeValidator(std::function<bool()> budget = {}) {
@@ -107,12 +128,7 @@ TEST(Validator, RejectsMissingTuples) {
   // Add a bogus row to R_out that no query can produce: every candidate
   // must fail with missing tuples (probe catches it first).
   ValidatorFixture f;
-  std::vector<ValueId> bogus(f.rout.num_columns());
-  for (size_t c = 0; c < f.rout.num_columns(); ++c) {
-    bogus[c] = f.db.dictionary()->Intern(Value("no-such-value"));
-  }
-  f.rout.AppendRowIds(bogus);
-  f.rout_set = TableToTupleSet(f.rout);
+  f.AppendAbsentRow();
   Validator v = f.MakeValidator();
   EXPECT_EQ(v.Validate(f.DirectCandidate()), CandidateOutcome::kMissingTuples);
   EXPECT_GT(f.stats.candidates_dismissed_probe, 0u);
@@ -126,12 +142,7 @@ TEST(Validator, MissingTuplesDetectedWithoutProbingToo) {
   opts.use_probing = false;
   opts.use_indirect_coherence = false;
   ValidatorFixture f(opts);
-  std::vector<ValueId> bogus(f.rout.num_columns());
-  for (size_t c = 0; c < f.rout.num_columns(); ++c) {
-    bogus[c] = f.db.dictionary()->Intern(Value("no-such-value"));
-  }
-  f.rout.AppendRowIds(bogus);
-  f.rout_set = TableToTupleSet(f.rout);
+  f.AppendAbsentRow();
   Validator v = f.MakeValidator();
   EXPECT_EQ(v.Validate(f.DirectCandidate()), CandidateOutcome::kMissingTuples);
   EXPECT_EQ(f.stats.candidates_dismissed_probe, 0u);
@@ -209,12 +220,7 @@ TEST(Validator, SupersetStillRejectsMissing) {
   QreOptions opts;
   opts.variant = QreVariant::kSuperset;
   ValidatorFixture f(opts);
-  std::vector<ValueId> bogus(f.rout.num_columns());
-  for (size_t c = 0; c < f.rout.num_columns(); ++c) {
-    bogus[c] = f.db.dictionary()->Intern(Value("nope"));
-  }
-  f.rout.AppendRowIds(bogus);
-  f.rout_set = TableToTupleSet(f.rout);
+  f.AppendAbsentRow();
   Validator v = f.MakeValidator();
   EXPECT_EQ(v.Validate(f.DirectCandidate()), CandidateOutcome::kMissingTuples);
 }
@@ -339,6 +345,174 @@ TEST(Validator, OutcomeToStringCoversAll) {
                "budget-exhausted");
   EXPECT_STREQ(CandidateOutcomeToString(CandidateOutcome::kError), "error");
 }
+
+// ---- Full-check order: the extras walk first, the probe classifies --------
+
+// Options under which the full check alone classifies a candidate: no
+// sampled probes, no coherence checks.
+QreOptions FullCheckOnly() {
+  QreOptions opts;
+  opts.probe_tuples = 0;
+  opts.use_indirect_coherence = false;
+  return opts;
+}
+
+TEST(Validator, ExactAcceptanceIsDecidedByTheWalkAlone) {
+  // A walk that meets no tuple outside R_out has emitted all of Q(D), so
+  // |Q(D)| = |R_out| accepts without probing a single R_out tuple.
+  ValidatorFixture f;
+  Validator v = f.MakeValidator();
+  ASSERT_EQ(v.Validate(f.DirectCandidate()), CandidateOutcome::kGenerating);
+  EXPECT_EQ(f.stats.full_validations, 1u);
+  EXPECT_GT(f.stats.fullscan_rows, 0u);
+  EXPECT_EQ(f.stats.alltuple_rows, 0u);
+}
+
+TEST(Validator, ShortWalkResultIsMissingTuplesWithoutProbing) {
+  // Q(D) ⊊ R_out: the walk meets no extra tuple but returns one tuple too
+  // few, and that count alone proves a tuple missing.
+  ValidatorFixture f(FullCheckOnly());
+  f.AppendAbsentRow();
+  Validator v = f.MakeValidator();
+  EXPECT_EQ(v.Validate(f.DirectCandidate()), CandidateOutcome::kMissingTuples);
+  EXPECT_EQ(f.stats.full_validations, 1u);
+  EXPECT_GT(f.stats.fullscan_rows, 0u);
+  EXPECT_EQ(f.stats.alltuple_rows, 0u);
+}
+
+TEST(Validator, MissingTuplesOutrankTheWalksExtraTuple) {
+  // R_out minus a generated row plus an ungenerable one: the walk stops at
+  // the extra tuple, and the probe that classifies the dismissal finds the
+  // missing one, which wins.
+  ValidatorFixture f(FullCheckOnly());
+  CandidateQuery cand = f.DirectCandidate();
+  Table doctored = EmptySchemaCopy(f.rout, f.db.dictionary());
+  for (RowId r = 1; r < f.rout.num_rows(); ++r) {
+    doctored.AppendRowIds(f.rout.RowIds(r));
+  }
+  f.rout = std::move(doctored);
+  f.AppendAbsentRow();
+  Validator v = f.MakeValidator();
+  EXPECT_EQ(v.Validate(cand), CandidateOutcome::kMissingTuples);
+  EXPECT_GT(f.stats.fullscan_rows, 0u);
+  EXPECT_GT(f.stats.alltuple_rows, 0u);
+}
+
+// ---- Classification against brute force ------------------------------------
+
+// `like`'s schema holding `rows`, in their order.
+Table TableOf(const Table& like, const std::shared_ptr<Dictionary>& d,
+              const TupleSet& rows) {
+  Table t = EmptySchemaCopy(like, d);
+  for (std::span<const ValueId> row : rows) {
+    t.AppendRowIds(std::vector<ValueId>(row.begin(), row.end()));
+  }
+  return t;
+}
+
+// `set` without its i-th tuple (insertion order).
+TupleSet Without(const TupleSet& set, size_t skip) {
+  TupleSet out(set.width());
+  size_t i = 0;
+  for (auto t : set) {
+    if (i++ != skip) out.insert(t);
+  }
+  return out;
+}
+
+// `set` plus a tuple of `value` in every column.
+TupleSet WithRow(const TupleSet& set, ValueId value) {
+  TupleSet out = set;
+  out.insert(std::vector<ValueId>(set.width(), value));
+  return out;
+}
+
+class ValidatorClassification : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ValidatorClassification, FullCheckAgreesWithBruteForce) {
+  // The generating query of a random CPJ workload, validated against R_out =
+  // its result, minus one row, plus an ungenerable row, and both. With the
+  // full check alone deciding, the verdict must be brute force's: missing
+  // tuples if R_out ⊄ Q(D), else (exact only) extra tuples if
+  // Q(D) ⊄ R_out, else generating.
+  const uint64_t seed = GetParam();
+  RandomDbOptions db_opts;
+  db_opts.seed = seed;
+  db_opts.num_tables = 3;
+  db_opts.min_rows = 8;
+  db_opts.max_rows = 25;
+  db_opts.extra_fk_edges = static_cast<int>(seed % 2);
+  Database db = BuildRandomDb(db_opts).ValueOrDie();
+  const ValueId absent = db.dictionary()->Intern(Value("no-such-value"));
+  Rng rng(seed * 7919 + 5);
+  RandomQueryOptions q_opts;
+  q_opts.num_instances = 2 + static_cast<int>(seed % 3);
+  q_opts.num_projections = 2;
+  // One cache across every case of the seed, so later cases resume from
+  // prefixes earlier ones stored.
+  auto governor = std::make_shared<ResourceGovernor>(0);
+  SubplanCache shared_cache(64 << 20, /*admission=*/0, governor);
+  SubplanCache* const caches[] = {nullptr, &shared_cache};
+  int queries = 0;
+  for (int trial = 0; trial < 3; ++trial) {
+    q_opts.project_every_instance = trial % 2 == 0;
+    auto wq = RandomCpjQuery(db, &rng, q_opts);
+    if (!wq.ok()) continue;
+    ++queries;
+    CandidateQuery cand;
+    cand.query = wq->query;
+    const TupleSet qd = BruteForce(db, cand.query);
+    ASSERT_FALSE(qd.empty());
+    const TupleSet minus = Without(qd, qd.size() / 2);
+    std::vector<std::pair<std::string, TupleSet>> routs;
+    routs.emplace_back("result", qd);
+    routs.emplace_back("minus-one", minus);
+    routs.emplace_back("plus-absent", WithRow(qd, absent));
+    routs.emplace_back("both", WithRow(minus, absent));
+    for (const auto& [rout_name, rout_rows] : routs) {
+      const Table rout = TableOf(wq->rout, db.dictionary(), rout_rows);
+      const TupleSet rout_set = TableToTupleSet(rout);
+      for (QreVariant variant : {QreVariant::kExact, QreVariant::kSuperset}) {
+        const char* variant_name =
+            variant == QreVariant::kExact ? "exact" : "superset";
+        CandidateOutcome want = CandidateOutcome::kGenerating;
+        if (!IsSubsetOf(rout_set, qd)) {
+          want = CandidateOutcome::kMissingTuples;
+        } else if (variant == QreVariant::kExact && !IsSubsetOf(qd, rout_set)) {
+          want = CandidateOutcome::kExtraTuples;
+        }
+        for (SubplanCache* cache : caches) {
+          const char* cache_name = cache != nullptr ? "cache" : "no-cache";
+          for (bool sip : {false, true}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " trial " +
+                         std::to_string(trial) + " " + rout_name + " " +
+                         variant_name + " " + cache_name + " sip " +
+                         std::to_string(sip) + "\n" + cand.query.ToSql(db));
+            QreOptions opts = FullCheckOnly();
+            opts.variant = variant;
+            ExecPolicy policy;
+            policy.use_sip = sip;
+            policy.subplan_cache = cache;
+            policy.governor = governor;
+            const ColumnMapping mapping;
+            const std::vector<Walk> walks;
+            Feedback feedback(0);
+            QreStats stats;
+            Validator v(&db, &rout, &rout_set, &mapping, &walks, &opts,
+                        &feedback, &stats, /*walk_cache=*/nullptr,
+                        /*budget_exceeded=*/{}, policy);
+            EXPECT_EQ(v.Validate(cand), want);
+            EXPECT_EQ(stats.full_validations, 1u);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(queries, 0) << "no random query for seed " << seed;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ValidatorClassification,
+                         ::testing::Range<uint64_t>(1, 21));
 
 }  // namespace
 }  // namespace fastqre

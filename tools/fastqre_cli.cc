@@ -16,11 +16,12 @@
 //       validates candidates on N worker threads; the answer is identical
 //       to a single-threaded run (rank-deterministic), just faster.
 //       --intra-threads N additionally runs morsels *inside* one candidate's
-//       all-tuple probe pass on N workers; --morsel-size sets the
-//       tuples-per-morsel granularity (also the block executor's
-//       interrupt-poll stride) and --no-batch falls back to the scalar
-//       probe kernels (DESIGN.md §12) — all three leave the answer
-//       byte-identical.
+//       all-tuple probe pass on N workers (the probe runs for superset
+//       candidates and for exact ones the extras walk dismissed);
+//       --morsel-size sets the tuples-per-morsel granularity (also the
+//       block executor's interrupt-poll stride) and --no-batch falls back
+//       to the scalar probe kernels (DESIGN.md §12) — all three leave the
+//       answer byte-identical.
 //       --no-sip disables sideways-information-passing bitmap filters and
 //       --subplan-cache-mb sets the budget of the exact extras check's
 //       cross-candidate subplan memoization (0 disables; DESIGN.md §13) —
