@@ -102,11 +102,9 @@ ParallelMappingResult RunMappingParallel(
   };
   constexpr uint64_t kNoFloor = std::numeric_limits<uint64_t>::max();
   const int num_workers = std::max(1, options->validation_threads);
-  const size_t capacity =
-      options->validation_queue_capacity > 0
-          ? static_cast<size_t>(options->validation_queue_capacity)
-          : static_cast<size_t>(2 * num_workers);
-  BoundedQueue<Item> queue(capacity);
+  // Two candidates per worker: the bound back-pressures the composer so it
+  // never runs arbitrarily far ahead of the rank frontier.
+  BoundedQueue<Item> queue(static_cast<size_t>(2 * num_workers));
 
   // Ranks strictly greater than cancel_floor can no longer affect the
   // answer set and are cancelled.

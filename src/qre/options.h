@@ -78,11 +78,6 @@ struct QreOptions {
   /// returned is byte-identical to a serial run.
   int validation_threads = 1;
 
-  /// Capacity of the composer→worker candidate queue per mapping; 0 derives
-  /// 2 × validation_threads. The bound back-pressures the composer so it
-  /// never runs arbitrarily far ahead of the rank frontier.
-  int validation_queue_capacity = 0;
-
   /// Workers (including the validating thread itself) executing morsels
   /// *inside* one candidate's all-tuple probe (DESIGN.md §12), which runs
   /// for superset candidates and for exact ones the extras walk dismissed.

@@ -48,6 +48,23 @@ WireOptions OptionsFromJson(const JsonValue& v) {
   return o;
 }
 
+// One QreStats field as a wire "stats" member, and back.
+JsonValue StatToJson(double v) { return JsonValue::Double(v); }
+JsonValue StatToJson(const RelaxedCounter& v) {
+  return JsonValue::Int(static_cast<int64_t>(v.value()));
+}
+JsonValue StatToJson(bool v) { return JsonValue::Bool(v); }
+
+void StatFromJson(const JsonValue& v, const char* key, double* out) {
+  *out = v.GetDouble(key, 0);
+}
+void StatFromJson(const JsonValue& v, const char* key, RelaxedCounter* out) {
+  *out = static_cast<uint64_t>(v.GetInt(key, 0));
+}
+void StatFromJson(const JsonValue& v, const char* key, bool* out) {
+  *out = v.GetBool(key, false);
+}
+
 JsonValue AnswerToJson(const WireAnswer& a) {
   JsonValue v = JsonValue::Object();
   v.Set("index", JsonValue::Int(a.index));
@@ -58,12 +75,10 @@ JsonValue AnswerToJson(const WireAnswer& a) {
     v.Set("failure_reason", JsonValue::Str(a.failure_reason));
   }
   JsonValue stats = JsonValue::Object();
-  stats.Set("total_seconds", JsonValue::Double(a.total_seconds));
-  stats.Set("candidates_validated",
-            JsonValue::Int(static_cast<int64_t>(a.candidates_validated)));
-  stats.Set("peak_tracked_bytes",
-            JsonValue::Int(static_cast<int64_t>(a.peak_tracked_bytes)));
-  stats.Set("cancelled", JsonValue::Bool(a.cancelled));
+  QreStats::ForEachField(a.stats, [&stats](const char* name, const char*,
+                                           const auto& field) {
+    stats.Set(name, StatToJson(field));
+  });
   v.Set("stats", std::move(stats));
   return v;
 }
@@ -75,12 +90,10 @@ WireAnswer AnswerFromJson(const JsonValue& v) {
   a.sql = v.GetString("sql");
   a.failure_reason = v.GetString("failure_reason");
   if (const JsonValue* stats = v.Get("stats"); stats && stats->is_object()) {
-    a.total_seconds = stats->GetDouble("total_seconds", 0);
-    a.candidates_validated =
-        static_cast<uint64_t>(stats->GetInt("candidates_validated", 0));
-    a.peak_tracked_bytes =
-        static_cast<uint64_t>(stats->GetInt("peak_tracked_bytes", 0));
-    a.cancelled = stats->GetBool("cancelled", false);
+    QreStats::ForEachField(a.stats, [stats](const char* name, const char*,
+                                            auto& field) {
+      StatFromJson(*stats, name, &field);
+    });
   }
   return a;
 }
@@ -366,10 +379,7 @@ WireAnswer ToWireAnswer(const QreAnswer& answer, int index) {
   a.found = answer.found;
   a.sql = answer.sql;
   a.failure_reason = answer.failure_reason;
-  a.total_seconds = answer.stats.total_seconds;
-  a.candidates_validated = answer.stats.candidates_validated.value();
-  a.peak_tracked_bytes = answer.stats.peak_tracked_bytes.value();
-  a.cancelled = answer.stats.cancelled;
+  a.stats = answer.stats;
   return a;
 }
 

@@ -144,19 +144,15 @@ enum class JobState { kQueued, kRunning, kDone, kCancelled, kFailed };
 const char* JobStateToString(JobState s);
 JobState JobStateFromString(const std::string& s);
 
-/// \brief One streamed answer event: a found entry carries SQL + a
-/// job-scoped stats snapshot; the single possible unfound tail entry
-/// carries the failure_reason instead.
+/// \brief One streamed answer event: a found entry carries SQL, the single
+/// possible unfound tail entry the failure_reason instead; both carry the
+/// job-scoped stats snapshot, one "stats" key per QreStats field.
 struct WireAnswer {
   int index = 0;  // rank position within the job's answer stream
   bool found = false;
   std::string sql;
   std::string failure_reason;
-  // Stats snapshot subset (full QreStats stays engine-side).
-  double total_seconds = 0;
-  uint64_t candidates_validated = 0;
-  uint64_t peak_tracked_bytes = 0;
-  bool cancelled = false;
+  QreStats stats;
 };
 
 /// Conversion from an engine answer at stream position `index`.

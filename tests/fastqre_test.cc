@@ -2,6 +2,8 @@
 // enumeration, option ablations, input validation, budgets, CSV ingestion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baseline/naive.h"
 #include "datagen/tpch.h"
 #include "datagen/workload.h"
@@ -291,12 +293,24 @@ TEST_F(FastQreTest, StatsAccumulate) {
   FastQre engine(&db_);
   QreAnswer a = engine.Reverse(workload_[0].rout).ValueOrDie();
   QreAnswer b = engine.Reverse(workload_[1].rout).ValueOrDie();
+  b.stats.cancelled = true;  // as if Cancel() had stopped the second run
   QreStats sum = a.stats;
   sum.Accumulate(b.stats);
+  // Tallies and seconds add up.
   EXPECT_EQ(sum.candidates_generated,
             a.stats.candidates_generated + b.stats.candidates_generated);
   EXPECT_NEAR(sum.total_seconds, a.stats.total_seconds + b.stats.total_seconds,
               1e-12);
+  // The high-water mark and the resident-byte gauges keep the larger run's
+  // value: the two runs' bytes were never resident together.
+  ASSERT_GT(a.stats.subplan_cache_bytes, 0u);
+  for (RelaxedCounter QreStats::*gauge :
+       {&QreStats::peak_tracked_bytes, &QreStats::walk_cache_bytes,
+        &QreStats::subplan_cache_bytes}) {
+    EXPECT_EQ(sum.*gauge, std::max<uint64_t>(a.stats.*gauge, b.stats.*gauge));
+  }
+  // Flags or.
+  EXPECT_TRUE(sum.cancelled);
 }
 
 }  // namespace

@@ -318,9 +318,9 @@ TEST(ResponseTest, AnswerRoundTrip) {
   resp.answer.index = 2;
   resp.answer.found = true;
   resp.answer.sql = "SELECT a.x FROM t a";
-  resp.answer.total_seconds = 0.125;
-  resp.answer.candidates_validated = 9;
-  resp.answer.peak_tracked_bytes = 4096;
+  resp.answer.stats.total_seconds = 0.125;
+  resp.answer.stats.candidates_validated = 9;
+  resp.answer.stats.peak_tracked_bytes = 4096;
 
   resp.seq = 2;
 
@@ -331,9 +331,9 @@ TEST(ResponseTest, AnswerRoundTrip) {
   EXPECT_EQ(back.answer.index, 2);
   EXPECT_TRUE(back.answer.found);
   EXPECT_EQ(back.answer.sql, "SELECT a.x FROM t a");
-  EXPECT_DOUBLE_EQ(back.answer.total_seconds, 0.125);
-  EXPECT_EQ(back.answer.candidates_validated, 9u);
-  EXPECT_EQ(back.answer.peak_tracked_bytes, 4096u);
+  EXPECT_DOUBLE_EQ(back.answer.stats.total_seconds, 0.125);
+  EXPECT_EQ(back.answer.stats.candidates_validated, 9u);
+  EXPECT_EQ(back.answer.stats.peak_tracked_bytes, 4096u);
 }
 
 TEST(ResponseTest, UnfoundAnswerCarriesFailureReason) {
@@ -341,11 +341,11 @@ TEST(ResponseTest, UnfoundAnswerCarriesFailureReason) {
   resp.kind = Response::Kind::kAnswer;
   resp.answer.found = false;
   resp.answer.failure_reason = "cancelled";
-  resp.answer.cancelled = true;
+  resp.answer.stats.cancelled = true;
   Response back = ParseResponse(SerializeResponse(resp)).ValueOrDie();
   EXPECT_FALSE(back.answer.found);
   EXPECT_EQ(back.answer.failure_reason, "cancelled");
-  EXPECT_TRUE(back.answer.cancelled);
+  EXPECT_TRUE(back.answer.stats.cancelled);
   EXPECT_TRUE(back.answer.sql.empty());
 }
 

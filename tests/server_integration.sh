@@ -191,6 +191,32 @@ case "$out" in
   *) fail "easy submit streamed no ranked SELECT" ;;
 esac
 
+# ---- 2b. an answer frame carries every --stats-json key ------------------
+# Both are generated from QreStats' one field list: the frame's "stats"
+# keys must equal the CLI line's keys minus its outcome (found,
+# failure_reason). Keys only, because timings differ from run to run.
+"$CLIENT" --port "$PORT" submit --db tpch --rout "$WORK/easy.csv" \
+  --tenant ci --json >"$WORK/keys.json"
+rc=$?
+[ "$rc" -eq 0 ] || fail "stats-key submit exit $rc (want 0)"
+"$CLI" reverse --db "$WORK/db" --rout "$WORK/easy.csv" --stats-json \
+  >"$WORK/keys.cli"
+rc=$?
+[ "$rc" -eq 0 ] || fail "reverse --stats-json exit $rc (want 0)"
+# Keys of a flat JSON object body read on stdin, one per line, sorted.
+object_keys() {
+  tr ',' '\n' | sed -n 's/^"\([^"]*\)":.*/\1/p' | LC_ALL=C sort
+}
+wire_keys=$(grep '"kind":"answer"' "$WORK/keys.json" | head -n 1 |
+  sed -n 's/.*"stats":{\([^}]*\)}.*/\1/p' | object_keys)
+cli_keys=$(grep '^{' "$WORK/keys.cli" | head -n 1 | tr -d '{}' |
+  object_keys | grep -v -x -e found -e failure_reason)
+if [ -z "$wire_keys" ] || [ "$wire_keys" != "$cli_keys" ]; then
+  fail "answer stats keys differ from --stats-json keys:
+wire: $(echo $wire_keys)
+cli:  $(echo $cli_keys)"
+fi
+
 # ---- 3. deadline-stopped submit exits 3 with the engine's reason ---------
 out=$("$CLIENT" --port "$PORT" submit --db tpch --rout "$WORK/hard.csv" \
   --tenant ci --budget 0.001 --json)

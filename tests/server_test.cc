@@ -3,12 +3,6 @@
 // concurrent connections, and clean Stop() with streams in flight.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,67 +11,10 @@
 #include "datagen/workload.h"
 #include "server/server.h"
 #include "storage/csv.h"
+#include "test_client.h"
 
 namespace fastqre {
 namespace {
-
-/// Minimal blocking test client over one connection.
-class TestClient {
- public:
-  explicit TestClient(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    connected_ =
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-  ~TestClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool connected() const { return connected_; }
-
-  void SendRaw(const std::string& bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t rc = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                                MSG_NOSIGNAL);
-      ASSERT_GT(rc, 0);
-      sent += static_cast<size_t>(rc);
-    }
-  }
-
-  void Send(const Request& req) {
-    SendRaw(EncodeFrame(SerializeRequest(req)));
-  }
-
-  /// Blocks for the next response frame; fails the test on EOF.
-  Response Receive() {
-    std::string payload;
-    EXPECT_TRUE(ReceiveFrame(&payload)) << "connection closed";
-    return ParseResponse(payload).ValueOrDie();
-  }
-
-  bool ReceiveFrame(std::string* payload) {
-    char buf[4096];
-    for (;;) {
-      Result<bool> next = reader_.Next(payload);
-      EXPECT_TRUE(next.ok());
-      if (!next.ok() || *next) return next.ok();
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n <= 0) return false;
-      reader_.Feed(buf, static_cast<size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  FrameReader reader_;
-};
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -124,7 +61,7 @@ TEST_F(ServerTest, ListDbs) {
   ASSERT_TRUE(client.connected());
   Request req;
   req.verb = Verb::kListDbs;
-  client.Send(req);
+  ASSERT_TRUE(client.Send(req));
   const Response resp = client.Receive();
   ASSERT_EQ(resp.kind, Response::Kind::kDbList);
   ASSERT_EQ(resp.dbs.size(), 1u);
@@ -135,7 +72,7 @@ TEST_F(ServerTest, ListDbs) {
 TEST_F(ServerTest, SubmitStreamsAnswersThenDone) {
   TestClient client(server_->port());
   ASSERT_TRUE(client.connected());
-  client.Send(Submit("L01", /*limit=*/2));
+  ASSERT_TRUE(client.Send(Submit("L01", /*limit=*/2)));
 
   Response resp = client.Receive();
   ASSERT_EQ(resp.kind, Response::Kind::kAccepted);
@@ -164,7 +101,7 @@ TEST_F(ServerTest, SubmitStreamsAnswersThenDone) {
 TEST_F(ServerTest, StatusAndCancelVerbs) {
   TestClient submitter(server_->port());
   ASSERT_TRUE(submitter.connected());
-  submitter.Send(Submit("L10", /*limit=*/50));
+  ASSERT_TRUE(submitter.Send(Submit("L10", /*limit=*/50)));
   const Response accepted = submitter.Receive();
   ASSERT_EQ(accepted.kind, Response::Kind::kAccepted);
 
@@ -174,7 +111,7 @@ TEST_F(ServerTest, StatusAndCancelVerbs) {
   Request cancel;
   cancel.verb = Verb::kCancel;
   cancel.job_id = accepted.job_id;
-  controller.Send(cancel);
+  ASSERT_TRUE(controller.Send(cancel));
   const Response cancel_resp = controller.Receive();
   ASSERT_EQ(cancel_resp.kind, Response::Kind::kStatus);
   EXPECT_EQ(cancel_resp.status.job_id, accepted.job_id);
@@ -191,7 +128,7 @@ TEST_F(ServerTest, StatusAndCancelVerbs) {
   Request status;
   status.verb = Verb::kStatus;
   status.job_id = accepted.job_id;
-  controller.Send(status);
+  ASSERT_TRUE(controller.Send(status));
   const Response status_resp = controller.Receive();
   ASSERT_EQ(status_resp.kind, Response::Kind::kStatus);
   EXPECT_TRUE(status_resp.status.state == JobState::kCancelled ||
@@ -203,13 +140,13 @@ TEST_F(ServerTest, TypedProtocolErrors) {
   ASSERT_TRUE(client.connected());
 
   // Wrong version.
-  client.SendRaw(EncodeFrame("{\"v\":9,\"verb\":\"list-dbs\"}"));
+  ASSERT_TRUE(client.SendRaw(EncodeFrame("{\"v\":9,\"verb\":\"list-dbs\"}")));
   Response resp = client.Receive();
   ASSERT_EQ(resp.kind, Response::Kind::kError);
   EXPECT_EQ(resp.error, WireError::kVersionMismatch);
 
   // Malformed JSON — connection survives a recoverable request error.
-  client.SendRaw(EncodeFrame("{nope"));
+  ASSERT_TRUE(client.SendRaw(EncodeFrame("{nope")));
   resp = client.Receive();
   ASSERT_EQ(resp.kind, Response::Kind::kError);
   EXPECT_EQ(resp.error, WireError::kInvalidArgument);
@@ -218,7 +155,7 @@ TEST_F(ServerTest, TypedProtocolErrors) {
   Request status;
   status.verb = Verb::kStatus;
   status.job_id = 424242;
-  client.Send(status);
+  ASSERT_TRUE(client.Send(status));
   resp = client.Receive();
   ASSERT_EQ(resp.kind, Response::Kind::kError);
   EXPECT_EQ(resp.error, WireError::kNotFound);
@@ -226,7 +163,7 @@ TEST_F(ServerTest, TypedProtocolErrors) {
   // Unknown database on submit.
   Request bad = Submit("L01");
   bad.db = "absent";
-  client.Send(bad);
+  ASSERT_TRUE(client.Send(bad));
   resp = client.Receive();
   ASSERT_EQ(resp.kind, Response::Kind::kError);
   EXPECT_EQ(resp.error, WireError::kNotFound);
@@ -236,13 +173,14 @@ TEST_F(ServerTest, OversizedFrameClosesConnection) {
   TestClient client(server_->port());
   ASSERT_TRUE(client.connected());
   const char evil[4] = {'\x7f', '\xff', '\xff', '\xff'};  // 2GB length
-  client.SendRaw(std::string(evil, 4));
+  ASSERT_TRUE(client.SendRaw(std::string(evil, 4)));
   std::string payload;
   // One error frame, then EOF.
   ASSERT_TRUE(client.ReceiveFrame(&payload));
   const Response resp = ParseResponse(payload).ValueOrDie();
   EXPECT_EQ(resp.kind, Response::Kind::kError);
   EXPECT_FALSE(client.ReceiveFrame(&payload));
+  EXPECT_FALSE(client.framing_error());
 }
 
 TEST_F(ServerTest, ConcurrentConnectionsRunConcurrentJobs) {
@@ -253,7 +191,7 @@ TEST_F(ServerTest, ConcurrentConnectionsRunConcurrentJobs) {
     threads.emplace_back([this, &found] {
       TestClient client(server_->port());
       ASSERT_TRUE(client.connected());
-      client.Send(Submit("L02"));
+      ASSERT_TRUE(client.Send(Submit("L02")));
       Response resp = client.Receive();
       ASSERT_EQ(resp.kind, Response::Kind::kAccepted);
       bool any = false;
@@ -274,7 +212,7 @@ TEST_F(ServerTest, ConcurrentConnectionsRunConcurrentJobs) {
 TEST_F(ServerTest, StopWithStreamInFlight) {
   TestClient client(server_->port());
   ASSERT_TRUE(client.connected());
-  client.Send(Submit("L10", /*limit=*/50));
+  ASSERT_TRUE(client.Send(Submit("L10", /*limit=*/50)));
   const Response accepted = client.Receive();
   ASSERT_EQ(accepted.kind, Response::Kind::kAccepted);
   // Stop with the stream open: Stop() must return (no hang), and the job

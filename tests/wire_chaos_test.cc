@@ -8,14 +8,8 @@
 // timeout).
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,88 +19,10 @@
 #include "datagen/workload.h"
 #include "server/server.h"
 #include "storage/csv.h"
+#include "test_client.h"
 
 namespace fastqre {
 namespace {
-
-/// Minimal blocking test client. Unlike server_test's helper, EOF and
-/// framing errors are plain return values, not test failures — chaos tests
-/// expect both.
-class ChaosClient {
- public:
-  explicit ChaosClient(uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    connected_ =
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
-  }
-  ~ChaosClient() { Close(); }
-
-  bool connected() const { return connected_; }
-  bool framing_error() const { return framing_error_; }
-
-  void Close() {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = -1;
-  }
-
-  bool SendRaw(const std::string& bytes) {
-    size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t rc = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                                MSG_NOSIGNAL);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      sent += static_cast<size_t>(rc);
-    }
-    return true;
-  }
-
-  bool Send(const Request& req) {
-    return SendRaw(EncodeFrame(SerializeRequest(req)));
-  }
-
-  /// Next frame payload; false on EOF, reset, or a framing error (the
-  /// latter also sets framing_error()).
-  bool ReceiveFrame(std::string* payload) {
-    char buf[4096];
-    for (;;) {
-      Result<bool> next = reader_.Next(payload);
-      if (!next.ok()) {
-        framing_error_ = true;
-        return false;
-      }
-      if (*next) return true;
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n == 0) return false;
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      reader_.Feed(buf, static_cast<size_t>(n));
-    }
-  }
-
-  /// Parsed next response; fails the test on EOF (use where the connection
-  /// is supposed to be healthy).
-  Response Receive() {
-    std::string payload;
-    EXPECT_TRUE(ReceiveFrame(&payload)) << "connection closed";
-    return ParseResponse(payload).ValueOrDie();
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  bool framing_error_ = false;
-  FrameReader reader_;
-};
 
 /// One streamed job as observed on the wire: raw answer payloads by
 /// sequence number, plus the terminal frame.
@@ -121,7 +37,7 @@ struct ObservedStream {
 
 /// Reads a stream until done / EOF, asserting sequence numbers are exactly
 /// `first_seq, first_seq + 1, ...` with no gaps.
-ObservedStream DrainStream(ChaosClient* client, uint64_t first_seq) {
+ObservedStream DrainStream(TestClient* client, uint64_t first_seq) {
   ObservedStream out;
   std::string payload;
   uint64_t expect_seq = first_seq;
@@ -244,7 +160,7 @@ TEST_F(WireChaosTest, WireFaultKindsParse) {
 
 TEST_F(WireChaosTest, PingReportsServerLoad) {
   Server* server = StartServer(ServerConfig{});
-  ChaosClient client(server->port());
+  TestClient client(server->port());
   ASSERT_TRUE(client.connected());
   ASSERT_TRUE(client.Send(Submit("L01")));
   const ObservedStream stream = DrainStream(&client, 0);
@@ -269,7 +185,7 @@ TEST_F(WireChaosTest, ConnectionsOverCapGetTypedOverloaded) {
   config.max_connections = 2;
   Server* server = StartServer(config);
 
-  ChaosClient c1(server->port()), c2(server->port());
+  TestClient c1(server->port()), c2(server->port());
   ASSERT_TRUE(c1.connected());
   ASSERT_TRUE(c2.connected());
   // Registration happens on the acceptor thread; wait for both.
@@ -278,7 +194,7 @@ TEST_F(WireChaosTest, ConnectionsOverCapGetTypedOverloaded) {
   }
   ASSERT_EQ(server->active_connections(), 2u);
 
-  ChaosClient c3(server->port());
+  TestClient c3(server->port());
   ASSERT_TRUE(c3.connected());
   std::string payload;
   ASSERT_TRUE(c3.ReceiveFrame(&payload));
@@ -294,7 +210,7 @@ TEST_F(WireChaosTest, ConnectionsOverCapGetTypedOverloaded) {
   for (int i = 0; i < 100 && server->active_connections() >= 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  ChaosClient c4(server->port());
+  TestClient c4(server->port());
   ASSERT_TRUE(c4.connected());
   Request ping;
   ping.verb = Verb::kPing;
@@ -309,7 +225,7 @@ TEST_F(WireChaosTest, IdleConnectionGetsTypedTimeoutThenClose) {
   config.idle_timeout_ms = 200;
   Server* server = StartServer(config);
 
-  ChaosClient client(server->port());
+  TestClient client(server->port());
   ASSERT_TRUE(client.connected());
   std::string payload;
   ASSERT_TRUE(client.ReceiveFrame(&payload));  // blocks ~200ms, then frame
@@ -325,7 +241,7 @@ TEST_F(WireChaosTest, SingleByteTrickleStillServedWhileNotIdle) {
   config.idle_timeout_ms = 500;
   Server* server = StartServer(config);
 
-  ChaosClient client(server->port());
+  TestClient client(server->port());
   ASSERT_TRUE(client.connected());
   Request req;
   req.verb = Verb::kListDbs;
@@ -351,7 +267,7 @@ TEST_F(WireChaosTest, AdversarialBytesGetTypedErrorsOrDropsNeverWedge) {
 
   {
     // Oversize length prefix: typed error, then drop.
-    ChaosClient client(server->port());
+    TestClient client(server->port());
     ASSERT_TRUE(client.connected());
     const char evil[4] = {'\x7f', '\xff', '\xff', '\xff'};
     ASSERT_TRUE(client.SendRaw(std::string(evil, 4)));
@@ -365,7 +281,7 @@ TEST_F(WireChaosTest, AdversarialBytesGetTypedErrorsOrDropsNeverWedge) {
   {
     // Truncated frame (header promises more than ever arrives): the server
     // must not wait forever — the idle deadline reaps the connection.
-    ChaosClient client(server->port());
+    TestClient client(server->port());
     ASSERT_TRUE(client.connected());
     const char header[4] = {'\x00', '\x00', '\x01', '\x00'};  // 256 bytes
     ASSERT_TRUE(client.SendRaw(std::string(header, 4) + "only a few"));
@@ -380,7 +296,7 @@ TEST_F(WireChaosTest, AdversarialBytesGetTypedErrorsOrDropsNeverWedge) {
     // A valid request interleaved with a garbage frame: the valid one is
     // answered, the garbage one gets a typed error (valid length prefix,
     // unparseable JSON payload keeps the connection recoverable).
-    ChaosClient client(server->port());
+    TestClient client(server->port());
     ASSERT_TRUE(client.connected());
     std::string junk(32, '\0');
     for (char& c : junk) c = static_cast<char>(rng.Uniform(256));
@@ -398,7 +314,7 @@ TEST_F(WireChaosTest, AdversarialBytesGetTypedErrorsOrDropsNeverWedge) {
     // Seeded random byte soup, several rounds: any mix of typed errors and
     // drops is acceptable; a hang or crash is not.
     for (int round = 0; round < 4; ++round) {
-      ChaosClient client(server->port());
+      TestClient client(server->port());
       ASSERT_TRUE(client.connected());
       std::string soup(64 + rng.Uniform(192), '\0');
       for (char& c : soup) c = static_cast<char>(rng.Uniform(256));
@@ -414,7 +330,7 @@ TEST_F(WireChaosTest, AdversarialBytesGetTypedErrorsOrDropsNeverWedge) {
   // Thread-reclamation baseline: every adversarial connection above ends
   // reaped, and the server still serves.
   ExpectConnectionsDrain(*server);
-  ChaosClient healthy(server->port());
+  TestClient healthy(server->port());
   ASSERT_TRUE(healthy.connected());
   Request ping;
   ping.verb = Verb::kPing;
@@ -426,7 +342,7 @@ TEST_F(WireChaosTest, AdversarialBytesGetTypedErrorsOrDropsNeverWedge) {
 
 TEST_F(WireChaosTest, AttachReplaysFinishedJobByteIdentical) {
   Server* server = StartServer(ServerConfig{});
-  ChaosClient submitter(server->port());
+  TestClient submitter(server->port());
   ASSERT_TRUE(submitter.connected());
   ASSERT_TRUE(submitter.Send(Submit("L01", /*limit=*/2)));
   const ObservedStream original = DrainStream(&submitter, 0);
@@ -435,7 +351,7 @@ TEST_F(WireChaosTest, AttachReplaysFinishedJobByteIdentical) {
   EXPECT_EQ(original.done_answers, original.answer_payloads.size());
 
   // Full replay from 0: byte-identical answer frames, same terminal.
-  ChaosClient replayer(server->port());
+  TestClient replayer(server->port());
   ASSERT_TRUE(replayer.connected());
   ASSERT_TRUE(replayer.Send(Attach(original.job_id, 0)));
   const ObservedStream replay = DrainStream(&replayer, 0);
@@ -446,7 +362,7 @@ TEST_F(WireChaosTest, AttachReplaysFinishedJobByteIdentical) {
   EXPECT_EQ(replay.done_state, original.done_state);
 
   // Partial resume from cursor 1: exactly the tail, sequence picks up at 1.
-  ChaosClient resumer(server->port());
+  TestClient resumer(server->port());
   ASSERT_TRUE(resumer.connected());
   ASSERT_TRUE(resumer.Send(Attach(original.job_id, 1)));
   const ObservedStream tail = DrainStream(&resumer, 1);
@@ -458,7 +374,7 @@ TEST_F(WireChaosTest, AttachReplaysFinishedJobByteIdentical) {
   EXPECT_EQ(tail.done_answers, original.done_answers);
 
   // attach to a job that never existed: one clean typed NotFound.
-  ChaosClient lost(server->port());
+  TestClient lost(server->port());
   ASSERT_TRUE(lost.connected());
   ASSERT_TRUE(lost.Send(Attach(424242, 0)));
   const Response resp = lost.Receive();
@@ -475,14 +391,14 @@ TEST_F(WireChaosTest, ResetMidStreamThenAttachResumesGapFree) {
   Server* chaos = StartServer(chaos_config);
   Server* clean = StartServer(ServerConfig{});
 
-  ChaosClient client(chaos->port());
+  TestClient client(chaos->port());
   ASSERT_TRUE(client.connected());
   ASSERT_TRUE(client.Send(Submit("L01", /*limit=*/2)));
   const ObservedStream broken = DrainStream(&client, 0);
   EXPECT_FALSE(broken.done);  // the stream was cut
   ASSERT_GT(broken.job_id, 0u);
 
-  ChaosClient resumer(clean->port());
+  TestClient resumer(clean->port());
   ASSERT_TRUE(resumer.connected());
   const uint64_t cursor = broken.answer_payloads.size();
   ASSERT_TRUE(resumer.Send(Attach(broken.job_id, cursor)));
@@ -500,7 +416,7 @@ TEST_F(WireChaosTest, ShortWritesReassembleByteIdentical) {
   Server* chaos = StartServer(chaos_config);
   Server* clean = StartServer(ServerConfig{});
 
-  ChaosClient trickled(chaos->port());
+  TestClient trickled(chaos->port());
   ASSERT_TRUE(trickled.connected());
   ASSERT_TRUE(trickled.Send(Submit("L01", /*limit=*/2)));
   const ObservedStream chaos_stream = DrainStream(&trickled, 0);
@@ -509,7 +425,7 @@ TEST_F(WireChaosTest, ShortWritesReassembleByteIdentical) {
 
   // The same stream through a clean server is byte-identical: 1-byte
   // writes change packetization, never content.
-  ChaosClient replayer(clean->port());
+  TestClient replayer(clean->port());
   ASSERT_TRUE(replayer.connected());
   ASSERT_TRUE(replayer.Send(Attach(chaos_stream.job_id, 0)));
   const ObservedStream replay = DrainStream(&replayer, 0);
@@ -522,7 +438,7 @@ TEST_F(WireChaosTest, GarbageOnReadSurfacesTypedFramingError) {
   config.fault_spec = "wire-read=garbage@1";
   Server* server = StartServer(config);
 
-  ChaosClient client(server->port());
+  TestClient client(server->port());
   ASSERT_TRUE(client.connected());
   Request req;
   req.verb = Verb::kListDbs;
@@ -543,7 +459,7 @@ TEST_F(WireChaosTest, StallFaultDelaysButStillServes) {
   config.fault_spec = "wire-read=stall,wire-accept=stall";
   Server* server = StartServer(config);
 
-  ChaosClient client(server->port());
+  TestClient client(server->port());
   ASSERT_TRUE(client.connected());
   Request req;
   req.verb = Verb::kListDbs;
@@ -558,7 +474,7 @@ TEST_F(WireChaosTest, DropperMidStreamFreesThreadJobSurvives) {
   Server* server = StartServer(ServerConfig{});
   uint64_t job_id = 0;
   {
-    ChaosClient dropper(server->port());
+    TestClient dropper(server->port());
     ASSERT_TRUE(dropper.connected());
     ASSERT_TRUE(dropper.Send(Submit("L10", /*limit=*/50)));
     std::string payload;
@@ -584,7 +500,7 @@ TEST_F(WireChaosTest, IdempotentSubmitNeverDoubleAdmits) {
 
   Request keyed = Submit("L01", /*limit=*/2);
   keyed.idempotency_key = "retry-abc";
-  ChaosClient first(server->port());
+  TestClient first(server->port());
   ASSERT_TRUE(first.connected());
   ASSERT_TRUE(first.Send(keyed));
   const ObservedStream original = DrainStream(&first, 0);
@@ -592,7 +508,7 @@ TEST_F(WireChaosTest, IdempotentSubmitNeverDoubleAdmits) {
 
   // Retrying the same (tenant, key) returns the same job and replays its
   // stream byte-identically — no second admission, no second job.
-  ChaosClient retry(server->port());
+  TestClient retry(server->port());
   ASSERT_TRUE(retry.connected());
   ASSERT_TRUE(retry.Send(keyed));
   const ObservedStream replay = DrainStream(&retry, 0);
@@ -603,7 +519,7 @@ TEST_F(WireChaosTest, IdempotentSubmitNeverDoubleAdmits) {
   // A different key is a different job.
   Request other = keyed;
   other.idempotency_key = "retry-def";
-  ChaosClient fresh(server->port());
+  TestClient fresh(server->port());
   ASSERT_TRUE(fresh.connected());
   ASSERT_TRUE(fresh.Send(other));
   const ObservedStream second = DrainStream(&fresh, 0);
@@ -628,7 +544,7 @@ TEST_F(WireChaosTest, ConcurrentSameKeySubmitsAdmitExactlyOneJob) {
     threads.emplace_back([this, server, &job_ids, &rejected, i] {
       Request keyed = Submit("L01");
       keyed.idempotency_key = "race-key";
-      ChaosClient client(server->port());
+      TestClient client(server->port());
       ASSERT_TRUE(client.connected());
       ASSERT_TRUE(client.Send(keyed));
       std::string payload;

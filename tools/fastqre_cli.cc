@@ -127,19 +127,12 @@ int Fail(const Status& st) {
   return 1;
 }
 
-// One answer's QreStats as a single-line JSON object (--stats-json). Every
-// counter of the human-readable report, under stable snake_case keys, so
-// scripts can diff ablation runs without scraping the text format.
+// One answer as a single-line JSON object (--stats-json): its outcome, then
+// every QreStats field under the field's own name, so scripts can diff
+// ablation runs without scraping the text format.
 std::string StatsToJson(const QreStats& s, bool found,
                         const std::string& failure_reason) {
-  std::string out = "{";
-  auto num = [&out](const char* key, uint64_t v) {
-    out += StringFormat("\"%s\":%llu,", key, static_cast<unsigned long long>(v));
-  };
-  auto flt = [&out](const char* key, double v) {
-    out += StringFormat("\"%s\":%.6f,", key, v);
-  };
-  out += StringFormat("\"found\":%s,", found ? "true" : "false");
+  std::string out = StringFormat("{\"found\":%s,", found ? "true" : "false");
   if (!found) {
     std::string escaped;
     for (char c : failure_reason) {
@@ -148,43 +141,7 @@ std::string StatsToJson(const QreStats& s, bool found,
     }
     out += StringFormat("\"failure_reason\":\"%s\",", escaped.c_str());
   }
-  flt("total_seconds", s.total_seconds);
-  flt("cover_seconds", s.cover_seconds);
-  flt("cgm_seconds", s.cgm_seconds);
-  num("cover_pairs_total", s.cover_pairs_total);
-  num("cover_pairs_pruned", s.cover_pairs_pruned);
-  num("cover_pairs_checked", s.cover_pairs_checked);
-  num("cgm_candidates_checked", s.cgm_candidates_checked);
-  num("num_cgms", s.num_cgms);
-  num("mappings_tried", s.mappings_tried);
-  num("walks_discovered", s.walks_discovered);
-  num("candidates_generated", s.candidates_generated);
-  num("candidates_validated", s.candidates_validated);
-  num("candidates_cancelled", s.candidates_cancelled);
-  num("walk_sets_expanded", s.walk_sets_expanded);
-  num("candidates_pruned_dead", s.candidates_pruned_dead);
-  num("candidates_dismissed_probe", s.candidates_dismissed_probe);
-  num("candidates_dismissed_walk", s.candidates_dismissed_walk);
-  num("walk_coherence_checks", s.walk_coherence_checks);
-  num("full_validations", s.full_validations);
-  num("validation_rows", s.validation_rows);
-  num("probe_rows", s.probe_rows);
-  num("coherence_rows", s.coherence_rows);
-  num("alltuple_rows", s.alltuple_rows);
-  num("fullscan_rows", s.fullscan_rows);
-  num("walk_cache_hits", s.walk_cache_hits);
-  num("walk_cache_misses", s.walk_cache_misses);
-  num("walk_cache_evictions", s.walk_cache_evictions);
-  num("walk_cache_bytes", s.walk_cache_bytes);
-  num("sip_rows_skipped", s.sip_rows_skipped);
-  num("subplan_cache_hits", s.subplan_cache_hits);
-  num("subplan_cache_misses", s.subplan_cache_misses);
-  num("subplan_cache_evictions", s.subplan_cache_evictions);
-  num("subplan_cache_bytes", s.subplan_cache_bytes);
-  num("peak_tracked_bytes", s.peak_tracked_bytes);
-  num("degradation_events", s.degradation_events);
-  out += StringFormat("\"cancelled\":%s}", s.cancelled ? "true" : "false");
-  return out;
+  return out + s.JsonMembers() + "}";
 }
 
 int CmdGenTpch(const Flags& flags) {
