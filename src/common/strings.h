@@ -19,10 +19,10 @@ std::string JoinStrings(const std::vector<std::string>& parts,
 std::string_view TrimString(std::string_view s);
 
 /// \brief True if `s` parses fully as a signed 64-bit integer.
-bool ParseInt64(std::string_view s, int64_t* out);
+[[nodiscard]] bool ParseInt64(std::string_view s, int64_t* out);
 
 /// \brief True if `s` parses fully as a double.
-bool ParseDouble(std::string_view s, double* out);
+[[nodiscard]] bool ParseDouble(std::string_view s, double* out);
 
 /// \brief ASCII lowercasing.
 std::string ToLower(std::string_view s);

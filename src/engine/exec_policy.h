@@ -29,9 +29,9 @@ inline constexpr size_t kDefaultMorselSize = 2048;
 struct ExecPolicy {
   /// Vectorized column probes: HashIndex::LookupBatch in the cursor's
   /// reach-driven builds, and rebind-amortized point probes in the
-  /// validator's all-tuple and coherence probes. Off = the legacy
-  /// tuple-at-a-time kernels (ablation axis, E14). The block executor
-  /// probes one binding at a time and ignores it.
+  /// validator's all-tuple probe. Off = the legacy tuple-at-a-time kernels
+  /// (ablation axis, E14). The block executor and the coherence check
+  /// (which runs no cursor) ignore it.
   bool batch_probes = true;
 
   /// Total workers (calling thread included) running the all-tuple probe's

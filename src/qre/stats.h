@@ -60,7 +60,7 @@ enum class StatMerge {
   X(RelaxedCounter, validation_rows, "rows streamed", kSum)               \
   /* quick 2-tuple + partial probes */                                    \
   X(RelaxedCounter, probe_rows, "rows streamed", kSum)                    \
-  /* walk-coherence streams */                                            \
+  /* endpoint index matches + chain values walked */                      \
   X(RelaxedCounter, coherence_rows, "rows streamed", kSum)                \
   /* per-R_out-tuple membership probes */                                 \
   X(RelaxedCounter, alltuple_rows, "rows streamed", kSum)                 \

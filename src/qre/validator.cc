@@ -4,13 +4,56 @@
 #include <atomic>
 #include <memory>
 #include <span>
+#include <utility>
 
 #include "common/interrupt.h"
+#include "common/resource_governor.h"
 #include "common/thread_pool.h"
 #include "engine/block_executor.h"
 #include "engine/executor.h"
 
 namespace fastqre {
+
+namespace {
+
+// A check-local memo's bytes, charged to `governor` (may be null) as an
+// optional "walk-cache-build" materialization in 64 KB quanta and released
+// when the check returns.
+struct MemoCharge {
+  std::shared_ptr<ResourceGovernor> governor;
+  uint64_t pending = 0;
+  uint64_t charged = 0;
+
+  ~MemoCharge() {
+    if (governor != nullptr) governor->Release(charged);
+  }
+  // Adds `bytes` to the memo; false when the governor refuses a quantum.
+  bool Add(uint64_t bytes) {
+    if ((pending += bytes) < 64 * 1024) return true;
+    if (governor != nullptr &&
+        !governor->TryCharge(pending, "walk-cache-build")) {
+      return false;
+    }
+    charged += std::exchange(pending, 0);
+    return true;
+  }
+};
+
+void SortUnique(std::vector<ValueId>* values) {
+  std::sort(values->begin(), values->end());
+  values->erase(std::unique(values->begin(), values->end()), values->end());
+}
+
+// True iff the sorted ranges `a` and `b` share a value.
+bool Intersects(std::span<const ValueId> a, std::span<const ValueId> b) {
+  if (a.size() > b.size()) std::swap(a, b);
+  for (ValueId x : a) {
+    if (std::binary_search(b.begin(), b.end(), x)) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 const char* CandidateOutcomeToString(CandidateOutcome outcome) {
   switch (outcome) {
@@ -137,185 +180,150 @@ CandidateOutcome Validator::ProbeCheck(const Execution& exec) {
   return CandidateOutcome::kGenerating;  // "not dismissed"
 }
 
-bool Validator::TryCachedCoherence(const Walk& walk, bool* verdict) {
-  if (walk_cache_ == nullptr || walk.length() < 2) return false;
-  WalkSignature sig = CanonicalWalkSignature(*db_, walk);
-  WalkCache::Handle h =
-      walk_cache_->Acquire(*db_, sig, stats_, budget_exceeded_);
-  if (!h) return false;
-  // Reachability in the walk's own from -> to orientation.
-  const ReachMap& fwd = sig.flipped ? h->reverse : h->forward;
-
-  // Mirror ComposeWalkSubquery's projection order: the R_out columns
-  // generated from the two endpoint instances, in slot order, split by
-  // endpoint side.
-  std::vector<ColumnId> out_cols;
-  std::vector<size_t> from_j, to_j;          // tuple positions per endpoint
-  std::vector<ColumnId> from_cols, to_cols;  // endpoint db columns
-  for (ColumnId c = 0; c < mapping_->slots.size(); ++c) {
-    const auto& [inst, db_col] = mapping_->slots[c];
-    if (inst == walk.from_instance) {
-      from_j.push_back(out_cols.size());
-      from_cols.push_back(db_col);
-      out_cols.push_back(c);
-    } else if (inst == walk.to_instance) {
-      to_j.push_back(out_cols.size());
-      to_cols.push_back(db_col);
-      out_cols.push_back(c);
-    }
+Validator::Coherence Validator::WalkCoherent(int walk_id) {
+  const auto memo = feedback_->WalkCoherence(walk_id);
+  if (memo.has_value()) {
+    return *memo ? Coherence::kCoherent : Coherence::kIncoherent;
   }
-  if (from_cols.empty() || to_cols.empty()) return false;
-
-  const Table& from_table =
-      db_->table(mapping_->instances[walk.from_instance].table);
-  const Table& to_table = db_->table(mapping_->instances[walk.to_instance].table);
-  const HashIndex& from_index =
-      db_->GetOrBuildIndex(mapping_->instances[walk.from_instance].table,
-                           from_cols);
-  const HashIndex& to_index = db_->GetOrBuildIndex(
-      mapping_->instances[walk.to_instance].table, to_cols);
-  const Column& from_join = from_table.column(sig.from_col);
-  const Column& to_join = to_table.column(sig.to_col);
-
-  // Per needed tuple: the endpoint rows matching the tuple's bindings, and
-  // whether any pair of them is connected by the materialized chain.
-  // gov: bounded — one projection of R_out, freed at scope exit.
-  TupleSet needed = ProjectToTupleSet(*rout_, out_cols, budget_exceeded_);
-  if (BudgetExceeded()) return false;  // No verdict: partial needed-set.
-  std::vector<ValueId> key_from(from_cols.size()), key_to(to_cols.size());
-  std::vector<ValueId> us, vs;
-  size_t probed = 0;
-  bool coherent = true;
-  // Forall over needed tuples, in R_out row order (TupleSet iterates in
-  // insertion order); `coherent` is a conjunction, so the verdict does not
-  // depend on that order (interrupted runs publish nothing, per the
-  // no-memo-under-interrupt rule).
-  for (std::span<const ValueId> tuple : needed) {
-    for (size_t k = 0; k < from_j.size(); ++k) key_from[k] = tuple[from_j[k]];
-    for (size_t k = 0; k < to_j.size(); ++k) key_to[k] = tuple[to_j[k]];
-    const std::span<const RowId> rows_from = from_index.Lookup(key_from);
-    const std::span<const RowId> rows_to = to_index.Lookup(key_to);
-    stats_->validation_rows += rows_from.size() + rows_to.size();
-    stats_->coherence_rows += rows_from.size() + rows_to.size();
-    bool connected = false;
-    if (!rows_from.empty() && !rows_to.empty()) {
-      us.clear();
-      for (RowId r : rows_from) us.push_back(from_join.at(r));
-      std::sort(us.begin(), us.end());
-      us.erase(std::unique(us.begin(), us.end()), us.end());
-      vs.clear();
-      for (RowId r : rows_to) vs.push_back(to_join.at(r));
-      std::sort(vs.begin(), vs.end());
-      vs.erase(std::unique(vs.begin(), vs.end()), vs.end());
-      for (ValueId u : us) {
-        auto it = fwd.find(u);
-        if (it == fwd.end()) continue;
-        for (ValueId v : vs) {
-          if (std::binary_search(it->second.begin(), it->second.end(), v)) {
-            connected = true;
-            break;
-          }
-        }
-        if (connected) break;
-      }
-    }
-    if (!connected) {
-      coherent = false;
-      break;
-    }
-    if ((++probed & kInterruptPollMask) == 0 && BudgetExceeded()) {
-      // Unproven either way under timeout: no verdict (caller won't memoize).
-      return false;
-    }
-  }
-  *verdict = coherent;
-  return true;
-}
-
-bool Validator::WalkCoherent(int walk_id) {
-  auto memo = feedback_->WalkCoherence(walk_id);
-  if (memo.has_value()) return *memo;
-
   ++stats_->walk_coherence_checks;
 
-  bool verdict = false;
-  if (TryCachedCoherence((*walks_)[walk_id], &verdict)) {
-    feedback_->SetWalkCoherence(walk_id, verdict);
-    return verdict;
+  // Reach runs in the walk's own orientation, from the from-endpoint's join
+  // column to the to-endpoint's. sig.hops is canonical, so a flipped chain is
+  // walked in reverse, and its cached relation read backwards.
+  const Walk& walk = (*walks_)[walk_id];
+  const WalkSignature sig = CanonicalWalkSignature(*db_, walk);
+  std::vector<WalkHop> hops = sig.hops;
+  if (sig.flipped) {
+    std::reverse(hops.begin(), hops.end());
+    for (WalkHop& hop : hops) std::swap(hop.in_col, hop.out_col);
+  }
+  struct Endpoint {
+    int instance;
+    ColumnId join_col;
+    std::vector<ColumnId> key_cols{};  // columns generating R_out columns
+    const HashIndex* index = nullptr;  // over key_cols
+    std::vector<ValueId> joins{};      // distinct join values of a key's rows
+  };
+  Endpoint ends[2] = {{walk.from_instance, sig.from_col},
+                      {walk.to_instance, sig.to_col}};
+  // A needed tuple holds the from-endpoint's R_out columns, then the
+  // to-endpoint's, each in slot order. Every mapping instance generates one
+  // at least, so neither key is empty.
+  std::vector<ColumnId> out_cols;
+  for (Endpoint& e : ends) {
+    for (ColumnId c = 0; c < mapping_->slots.size(); ++c) {
+      if (mapping_->slots[c].first != e.instance) continue;
+      e.key_cols.push_back(mapping_->slots[c].second);
+      out_cols.push_back(c);
+    }
+    e.index = db_->TryGetOrBuildIndex(mapping_->instances[e.instance].table,
+                                      e.key_cols, budget_exceeded_);
+    if (e.index == nullptr) return Coherence::kNoVerdict;
   }
 
-  std::vector<ColumnId> out_cols;
-  PJQuery subquery =
-      ComposeWalkSubquery(*db_, *mapping_, (*walks_)[walk_id], &out_cols);
+  // reach(u) is {u} for a direct join, the walk cache's relation when it
+  // serves one, and otherwise the chain walked once per u through
+  // single-column hop indexes, memoized for this check only.
+  WalkCache::Handle relation;
+  if (walk_cache_ != nullptr && sig.cacheable) {
+    relation = walk_cache_->Acquire(*db_, sig, stats_, budget_exceeded_);
+  }
+  const ReachMap* cached = nullptr;
+  if (relation != nullptr) {
+    cached = sig.flipped ? &relation->reverse : &relation->forward;
+  }
+  std::vector<const HashIndex*> hop_index;
+  for (size_t i = 0; cached == nullptr && i < hops.size(); ++i) {
+    hop_index.push_back(db_->TryGetOrBuildIndex(
+        hops[i].table, {hops[i].in_col}, budget_exceeded_));
+    if (hop_index.back() == nullptr) return Coherence::kNoVerdict;
+  }
+  // gov: charged — MemoCharge, released when the check returns.
+  ReachMap walked;
+  MemoCharge charge{policy_.governor != nullptr ? policy_.governor
+                                                : db_->governor()};
+  uint64_t work = 0;
+  // Sets `*out` to reach(u) (for a direct join, a span over `u` itself);
+  // false when the run stopped mid-chain or the governor refused the memo.
+  auto reach = [&](const ValueId& u, std::span<const ValueId>* out) {
+    if (hops.empty()) {
+      *out = std::span<const ValueId>(&u, 1);
+      return true;
+    }
+    if (cached != nullptr) {
+      const auto it = cached->find(u);
+      *out = it == cached->end() ? std::span<const ValueId>() : it->second;
+      return true;
+    }
+    if (const auto it = walked.find(u); it != walked.end()) {
+      *out = it->second;
+      return true;
+    }
+    std::vector<ValueId> frontier{u};
+    std::vector<ValueId> next;
+    for (size_t i = 0; i < hops.size() && !frontier.empty(); ++i) {
+      const Column& hop_out = db_->table(hops[i].table).column(hops[i].out_col);
+      next.clear();
+      for (ValueId x : frontier) {
+        for (RowId r : hop_index[i]->Lookup1(x)) {
+          next.push_back(hop_out.at(r));
+          if ((++work & kInterruptPollMask) == 0 && BudgetExceeded()) {
+            return false;
+          }
+        }
+      }
+      stats_->validation_rows += next.size();
+      stats_->coherence_rows += next.size();
+      SortUnique(&next);
+      frontier.swap(next);
+    }
+    const std::vector<ValueId>& kept =
+        walked.emplace(u, std::move(frontier)).first->second;
+    *out = kept;
+    // Per entry: key, vector header, payload and ~16 bytes of node overhead.
+    return charge.Add(sizeof(ValueId) + sizeof(kept) +
+                      kept.capacity() * sizeof(ValueId) + 16);
+  };
 
-  // Needed: every tuple of pi_outcols(R_out) must appear in the walk
-  // subquery's result. Checked by one index-backed point probe per needed
-  // tuple (binding the subquery's projection columns), so an incoherent
-  // walk is detected without draining the subquery's full result.
   // gov: bounded — one projection of R_out, freed at scope exit.
   TupleSet needed = ProjectToTupleSet(*rout_, out_cols, budget_exceeded_);
-  if (BudgetExceeded()) return false;  // No verdict: partial needed-set.
-  const auto projections = subquery.projections();
-  bool coherent = true;
-  size_t probed = 0;
-  // One cursor serves every probe: created on the first tuple, rebound for
-  // the rest (with batch_probes off, the legacy per-tuple replanning is
-  // kept as the ablation baseline). The accumulated rows_examined() is
-  // folded into the stats exactly once, on every exit path.
-  std::unique_ptr<QueryCursor> shared_cursor;
-  uint64_t counted_rows = 0;
-  uint64_t counted_sips = 0;
-  auto count_rows = [&](const QueryCursor& cursor) {
-    const uint64_t delta = cursor.rows_examined() - counted_rows;
-    counted_rows = cursor.rows_examined();
-    stats_->validation_rows += delta;
-    stats_->coherence_rows += delta;
-    stats_->sip_rows_skipped += cursor.sip_rows_skipped() - counted_sips;
-    counted_sips = cursor.sip_rows_skipped();
-  };
-  // Forall-probe conjunction over needed tuples, in R_out row order; the
-  // verdict does not depend on that order, only the rows probed before the
-  // first uncovered tuple do.
+  if (BudgetExceeded()) return Coherence::kNoVerdict;  // partial needed-set
+  // A conjunction over the needed tuples, in R_out row order: the verdict
+  // does not depend on that order, only the rows counted before the first
+  // uncovered tuple do.
   for (std::span<const ValueId> tuple : needed) {
-    QueryCursor* cursor = nullptr;
-    if (policy_.batch_probes && shared_cursor != nullptr) {
-      shared_cursor->Rebind(tuple.data(), tuple.size());
-      cursor = shared_cursor.get();
-    } else {
-      subquery.ClearSelections();
-      for (size_t j = 0; j < projections.size(); ++j) {
-        subquery.AddSelection(projections[j].instance, projections[j].column,
-                              tuple[j]);
-      }
-      auto created =
-          QueryCursor::Create(*db_, subquery, budget_exceeded_, {}, policy_);
-      if (!created.ok()) {
-        coherent = false;
-        break;
-      }
-      shared_cursor = std::move(created).ValueOrDie();
-      counted_rows = 0;
-      counted_sips = 0;
-      cursor = shared_cursor.get();
+    size_t offset = 0;
+    for (Endpoint& e : ends) {
+      const std::span<const RowId> rows =
+          e.index->Lookup(tuple.subspan(offset, e.key_cols.size()));
+      offset += e.key_cols.size();
+      stats_->validation_rows += rows.size();
+      stats_->coherence_rows += rows.size();
+      const Column& join =
+          db_->table(mapping_->instances[e.instance].table).column(e.join_col);
+      e.joins.clear();
+      for (RowId r : rows) e.joins.push_back(join.at(r));
+      SortUnique(&e.joins);
     }
-    std::vector<ValueId> row;
-    bool hit = cursor->Next(&row);
-    count_rows(*cursor);
-    if (cursor->interrupted()) {
-      // Unproven either way under timeout: do not memoize a verdict.
-      return false;
+    // The tuple is covered iff some from-side u reaches a to-side value.
+    bool connected = false;
+    for (size_t i = 0;
+         !connected && !ends[1].joins.empty() && i < ends[0].joins.size();
+         ++i) {
+      std::span<const ValueId> reached;
+      if (!reach(ends[0].joins[i], &reached)) return Coherence::kNoVerdict;
+      connected = Intersects(reached, ends[1].joins);
     }
-    if (!hit) {
-      coherent = false;
-      break;
+    if (!connected) {
+      feedback_->SetWalkCoherence(walk_id, false);
+      return Coherence::kIncoherent;
     }
-    if ((++probed & kInterruptPollMask) == 0 && BudgetExceeded()) {
-      // Unproven either way: do not memoize a verdict under timeout.
-      return false;
+    if ((++work & kInterruptPollMask) == 0 && BudgetExceeded()) {
+      return Coherence::kNoVerdict;
     }
   }
-  feedback_->SetWalkCoherence(walk_id, coherent);
-  return coherent;
+  feedback_->SetWalkCoherence(walk_id, true);
+  return Coherence::kCoherent;
 }
 
 CandidateOutcome Validator::AllTupleProbe(const Execution& exec) {
@@ -585,10 +593,12 @@ CandidateOutcome Validator::Validate(const CandidateQuery& candidate) {
 
   if (options_->use_indirect_coherence) {
     for (int walk_id : candidate.walk_ids) {
-      if (!WalkCoherent(walk_id)) {
+      if (WalkCoherent(walk_id) == Coherence::kIncoherent) {
         ++stats_->candidates_dismissed_walk;
         return CandidateOutcome::kIncoherentWalk;
       }
+      // No verdict under a stop is not a dismissal (DESIGN.md §8); without
+      // one, the governor refused the memo and the full check decides.
       if (BudgetExceeded()) return CandidateOutcome::kBudgetExhausted;
     }
   }

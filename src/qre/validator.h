@@ -7,9 +7,11 @@
 //     tuple dismisses Q and, via feedback, its whole generation subtree);
 //     in exact mode, a partial probe binding only the first projection
 //     column streams a bounded prefix looking for tuples outside R_out.
-//  2. Indirect column coherence: each walk's join-path subquery must cover
-//     pi(R_out) on the walk's endpoint columns; verdicts are memoized in
-//     Feedback and shared across candidates (lazy, per Section 4.5).
+//  2. Indirect column coherence: every tuple of pi(R_out) on a walk's
+//     endpoint columns needs matching endpoint rows whose join values the
+//     walk's chain connects. Endpoint index lookups plus a reach test decide
+//     it; verdicts are memoized in Feedback and shared across candidates
+//     (lazy, per Section 4.5). A stop mid-check gives no verdict.
 //  3. Full check. Superset: the all-tuple probe. Exact: the depth-first
 //     extras walk; one that meets no tuple outside R_out returned all of
 //     Q(D), so a count decides, and the probe only classifies dismissals.
@@ -75,11 +77,12 @@ class Validator {
   Execution PrepareExecution(const CandidateQuery& candidate);
 
   CandidateOutcome ProbeCheck(const Execution& exec);
-  /// Checks (and memoizes) indirect coherence of one walk; true = coherent.
-  bool WalkCoherent(int walk_id);
-  /// Coherence of a materialized walk straight off its cached relation; no
-  /// subquery execution. `verdict` is set iff the cached check applies.
-  bool TryCachedCoherence(const Walk& walk, bool* verdict);
+  /// Indirect coherence of one walk, from two endpoint index lookups per
+  /// needed tuple and a reach test (DESIGN.md §9). A verdict is memoized in
+  /// Feedback; none is given when the run stops mid-check or the governor
+  /// refuses the check's chain memo.
+  enum class Coherence { kCoherent, kIncoherent, kNoVerdict };
+  Coherence WalkCoherent(int walk_id);
   /// Point-probes every R_out tuple; kGenerating = R_out ⊆ Q(D). Proves
   /// superset candidates and classifies exact ones the extras walk dismissed.
   CandidateOutcome AllTupleProbe(const Execution& exec);

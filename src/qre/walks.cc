@@ -1,7 +1,6 @@
 #include "qre/walks.h"
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <set>
 
@@ -233,25 +232,6 @@ PJQuery ComposeQueryFromWalksPartial(const Database& db,
   }
   for (const auto& [inst, db_col] : mapping.slots) {
     q.AddProjection(nodes[inst], db_col);
-  }
-  return q;
-}
-
-PJQuery ComposeWalkSubquery(const Database& db, const ColumnMapping& mapping,
-                            const Walk& walk, std::vector<ColumnId>* out_cols) {
-  PJQuery q;
-  std::vector<InstanceId> nodes(mapping.instances.size(),
-                                std::numeric_limits<InstanceId>::max());
-  nodes[walk.from_instance] = q.AddInstance(mapping.instances[walk.from_instance].table);
-  nodes[walk.to_instance] = q.AddInstance(mapping.instances[walk.to_instance].table);
-  AddWalkJoins(db, walk, nodes, &q);
-  out_cols->clear();
-  for (ColumnId c = 0; c < mapping.slots.size(); ++c) {
-    const auto& [inst, db_col] = mapping.slots[c];
-    if (inst == walk.from_instance || inst == walk.to_instance) {
-      q.AddProjection(nodes[inst], db_col);
-      out_cols->push_back(c);
-    }
   }
   return q;
 }

@@ -108,11 +108,4 @@ PJQuery ComposeQueryFromWalksPartial(const Database& db,
                                      const std::vector<const Walk*>& group,
                                      const std::vector<bool>& materialized);
 
-/// \brief The subquery corresponding to a single walk (Section 4.5): the
-/// walk's join path projected onto the R_out columns generated from its two
-/// endpoint instances. `out_cols` receives those R_out column ids in the
-/// projection order used.
-PJQuery ComposeWalkSubquery(const Database& db, const ColumnMapping& mapping,
-                            const Walk& walk, std::vector<ColumnId>* out_cols);
-
 }  // namespace fastqre

@@ -147,7 +147,7 @@ JobManager::SubmitOutcome JobManager::Submit(const Request& req) {
     return out;
   }
 
-  auto job = std::make_shared<Job>(std::move(*rout));
+  auto job = std::make_shared<Job>();
   job->tenant = req.tenant;
   job->db_name = req.db;
   job->db = db;
@@ -177,7 +177,9 @@ JobManager::SubmitOutcome JobManager::Submit(const Request& req) {
     if (keyed) idempotency_[idem_key] = job->id;
   }
 
-  pool_->Submit([this, job] { RunJob(job); });
+  // The pool task owns R_out, so it is freed when the job ends.
+  auto table = std::make_shared<const Table>(std::move(*rout));
+  pool_->Submit([this, job, table] { RunJob(job, *table); });
   out.job_id = job->id;
   return out;
 }
@@ -302,7 +304,7 @@ Result<JobManager::StreamProgress> JobManager::WaitAnswers(
   return progress;
 }
 
-void JobManager::RunJob(const std::shared_ptr<Job>& job) {
+void JobManager::RunJob(const std::shared_ptr<Job>& job, const Table& rout) {
   Timer run_timer;
   {
     MutexLock lock(&job->mu);
@@ -353,7 +355,7 @@ void JobManager::RunJob(const std::shared_ptr<Job>& job) {
 
   Job* raw = job.get();
   Result<std::vector<QreAnswer>> result = engine->ReverseAll(
-      job->rout, job->options.limit, [raw](const QreAnswer& answer) {
+      rout, job->options.limit, [raw](const QreAnswer& answer) {
         MutexLock lock(&raw->mu);
         const int index = static_cast<int>(raw->answers.size());
         raw->answers.push_back(ToWireAnswer(answer, index));

@@ -153,13 +153,10 @@ class JobManager {
 
  private:
   struct Job {
-    explicit Job(Table rout_table) : rout(std::move(rout_table)) {}
-
     uint64_t id = 0;
     std::string tenant;
     std::string db_name;
     const Database* db = nullptr;
-    Table rout;
     WireOptions options;
     uint64_t slice_bytes = 0;
 
@@ -186,9 +183,11 @@ class JobManager {
 
   std::shared_ptr<Job> FindJob(uint64_t job_id) const;
   WireJobStatus SnapshotLocked(const Job& job) const REQUIRES(job.mu);
-  /// The worker-thread body: runs the engine, streams answers, performs the
-  /// terminal transition and releases the admission slice.
-  void RunJob(const std::shared_ptr<Job>& job);
+  /// The worker-thread body: runs the engine on `rout`, streams answers,
+  /// performs the terminal transition and releases the admission slice.
+  /// `rout` is owned by the pool task, not the job record, so a finished
+  /// job does not keep its R_out for the manager's lifetime.
+  void RunJob(const std::shared_ptr<Job>& job, const Table& rout);
 
   const JobManagerConfig config_;
   AdmissionController admission_;

@@ -12,7 +12,8 @@ Drives the real binary end to end:
      including the truncation tail with "failure_reason":"cancelled" —
      valid JSON,
   4. the same reverse without faults: exit 0 and a found:true JSON line,
-  5. reverse with no arguments: usage error, exit 2.
+  5. reverse with no arguments, or with a malformed or out-of-range
+     numeric flag: usage error, exit 2 (the latter naming the flag).
 """
 
 import argparse
@@ -124,6 +125,18 @@ def main():
         proc = run(opts.binary, ["reverse"])
         check(proc.returncode == 2,
               "usage error: want exit 2, got %d" % proc.returncode)
+        # A malformed or out-of-range numeric flag is a usage error that
+        # names the flag, never a silent fallback to its default.
+        for flag, value in (("--budget", "5s"), ("--threads", "x"),
+                            ("--walk-cache-mb", "1e3"), ("--all", "0")):
+            proc = run(opts.binary, ["reverse", "--db", db, "--rout", rout,
+                                     flag, value])
+            check(proc.returncode == 2,
+                  "%s %s: want exit 2, got %d" % (flag, value,
+                                                  proc.returncode))
+            check(flag in proc.stderr,
+                  "%s %s: stderr must name the flag: %s"
+                  % (flag, value, proc.stderr))
 
     if FAILURES:
         print("%d check(s) failed" % len(FAILURES))

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -192,6 +193,21 @@ TEST(Validator, IncoherentWalkDetectedAndMemoized) {
   ASSERT_TRUE(f.feedback->WalkCoherence(cand.walk_ids[0]).has_value());
   EXPECT_FALSE(*f.feedback->WalkCoherence(cand.walk_ids[0]));
   EXPECT_TRUE(f.feedback->IsDead(cand.walk_ids));
+}
+
+TEST(Validator, InterruptedCoherenceIsNotAnIncoherentWalk) {
+  // A stop that lands mid-check leaves the walk unproven: the candidate is
+  // cut short, not dismissed, and no verdict is memoized (DESIGN.md §8).
+  QreOptions opts;
+  opts.use_probing = false;
+  ValidatorFixture f(opts);
+  const CandidateQuery cand = f.DirectCandidate();
+  int polls = 0;
+  Validator v = f.MakeValidator([&polls] { return polls++ > 0; });
+  EXPECT_EQ(v.Validate(cand), CandidateOutcome::kBudgetExhausted);
+  EXPECT_GT(polls, 1);
+  EXPECT_EQ(f.stats.candidates_dismissed_walk, 0u);
+  EXPECT_FALSE(f.feedback->WalkCoherence(cand.walk_ids[0]).has_value());
 }
 
 TEST(Validator, SupersetAcceptsRestrictingSubsetOutput) {
@@ -513,6 +529,176 @@ TEST_P(ValidatorClassification, FullCheckAgreesWithBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ValidatorClassification,
                          ::testing::Range<uint64_t>(1, 21));
+
+// ---- Coherence against brute force -----------------------------------------
+
+// A small random database and the results of random CPJ queries over it.
+struct CoherenceSeed {
+  Database db;
+  std::vector<WorkloadQuery> queries;
+};
+
+CoherenceSeed MakeCoherenceSeed(uint64_t seed) {
+  RandomDbOptions db_opts;
+  db_opts.seed = seed;
+  db_opts.num_tables = 3;
+  db_opts.min_rows = 8;
+  db_opts.max_rows = 20;
+  db_opts.extra_fk_edges = static_cast<int>(seed % 2);
+  CoherenceSeed out{BuildRandomDb(db_opts).ValueOrDie(), {}};
+  Rng rng(seed * 104729 + 11);
+  RandomQueryOptions q_opts;
+  q_opts.num_instances = 2 + static_cast<int>(seed % 2);
+  q_opts.num_projections = 3;
+  for (int trial = 0; trial < 2; ++trial) {
+    auto wq = RandomCpjQuery(out.db, &rng, q_opts);
+    if (wq.ok()) out.queries.push_back(std::move(wq).ValueOrDie());
+  }
+  return out;
+}
+
+// The column mapping of a query's result: one instance per projected query
+// instance, in first-projection order.
+ColumnMapping MappingOf(const PJQuery& q) {
+  ColumnMapping m;
+  std::vector<int> index(q.num_instances(), -1);
+  for (ColumnId c = 0; c < q.projections().size(); ++c) {
+    const auto& p = q.projections()[c];
+    if (index[p.instance] < 0) {
+      index[p.instance] = static_cast<int>(m.instances.size());
+      m.instances.emplace_back();
+      m.instances.back().table = q.instance_table(p.instance);
+    }
+    m.instances[index[p.instance]].columns.emplace_back(c, p.column);
+    m.slots.emplace_back(index[p.instance], p.column);
+  }
+  return m;
+}
+
+// Coherence checks with probing off, so the check runs before the full
+// check and its verdict is memoized.
+QreOptions CoherenceFirst() {
+  QreOptions opts;
+  opts.use_probing = false;
+  opts.max_walk_length = 3;
+  return opts;
+}
+
+// Brute force's coherence verdict: pi(R_out) on the walk's endpoint columns
+// is contained in the walk's join over the mapping cut down to the walk's
+// two endpoints.
+bool BruteForceCoherent(const Database& db, const Table& rout,
+                        const ColumnMapping& mapping, const Walk& walk) {
+  ColumnMapping cut;
+  cut.instances = {mapping.instances[walk.from_instance],
+                   mapping.instances[walk.to_instance]};
+  std::vector<ColumnId> out_cols;
+  for (ColumnId c = 0; c < mapping.slots.size(); ++c) {
+    const auto& [inst, db_col] = mapping.slots[c];
+    if (inst != walk.from_instance && inst != walk.to_instance) continue;
+    cut.slots.emplace_back(inst == walk.from_instance ? 0 : 1, db_col);
+    out_cols.push_back(c);
+  }
+  Walk cut_walk = walk;
+  cut_walk.from_instance = 0;
+  cut_walk.to_instance = 1;
+  const PJQuery q = ComposeQueryFromWalks(db, cut, {&cut_walk});
+  return ProjectionSubsetOf(rout, out_cols, BruteForce(db, q));
+}
+
+// `rout` with column `col` rotated down by one row.
+Table WithColumnRotated(const Table& rout, ColumnId col) {
+  Table out = EmptySchemaCopy(rout, rout.dictionary());
+  const RowId n = static_cast<RowId>(rout.num_rows());
+  for (RowId r = 0; r < n; ++r) {
+    std::vector<ValueId> row = rout.RowIds(r);
+    row[col] = rout.column(col).at((r + 1) % n);
+    out.AppendRowIds(row);
+  }
+  return out;
+}
+
+// A walk-cache budget below every walk relation (their two empty maps alone
+// take more); at 4 KB these databases' relations, 0.7-1 KB, stay resident.
+constexpr size_t kTinyWalkCacheBytes = 64;
+
+class ValidatorCoherence : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ValidatorCoherence, CoherenceAgreesWithBruteForce) {
+  // Every walk of length 1-3 between the instances of a random query's
+  // mapping, against R_out = the query's result, and the result with one
+  // column rotated. The memoized verdict must be brute force's in every
+  // cache state: no cache (the chain is walked), a 64 MB cache that admits
+  // on first use, the same cache warmed, and a budget below every relation
+  // (served to the check but never resident).
+  const uint64_t seed = GetParam();
+  const CoherenceSeed cs = MakeCoherenceSeed(seed);
+  ASSERT_FALSE(cs.queries.empty()) << "no random query for seed " << seed;
+  const QreOptions opts = CoherenceFirst();
+  int coherent = 0;
+  int incoherent = 0;
+  for (size_t q = 0; q < cs.queries.size(); ++q) {
+    const WorkloadQuery& wq = cs.queries[q];
+    const ColumnMapping mapping = MappingOf(wq.query);
+    const std::vector<Walk> walks = DiscoverWalks(cs.db, mapping, opts);
+    const Table rotated = WithColumnRotated(
+        wq.rout, static_cast<ColumnId>(seed % wq.rout.num_columns()));
+    for (const Table* rout : {&wq.rout, &rotated}) {
+      const TupleSet rout_set = TableToTupleSet(*rout);
+      for (size_t id = 0; id < walks.size(); ++id) {
+        const Walk& walk = walks[id];
+        const bool want = BruteForceCoherent(cs.db, *rout, mapping, walk);
+        (want ? coherent : incoherent)++;
+        CandidateQuery cand;
+        cand.walk_ids = {static_cast<int>(id)};
+        cand.query = ComposeQueryFromWalks(cs.db, mapping, {&walk});
+        WalkCache cache(64 << 20, /*admission=*/0);
+        WalkCache tiny(kTinyWalkCacheBytes, /*admission=*/0);
+        const std::pair<const char*, WalkCache*> states[] = {
+            {"no cache", nullptr},
+            {"64 MB", &cache},
+            {"64 MB warmed", &cache},
+            {"tiny", &tiny},
+        };
+        for (const auto& [state, walk_cache] : states) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " query " +
+                       std::to_string(q) + " " + walk.ToString(cs.db) +
+                       (rout == &rotated ? " rotated " : " result ") + state);
+          Feedback feedback(walks.size());
+          QreStats stats;
+          Validator v(&cs.db, rout, &rout_set, &mapping, &walks, &opts,
+                      &feedback, &stats, walk_cache);
+          v.Validate(cand);
+          const auto got = feedback.WalkCoherence(cand.walk_ids[0]);
+          ASSERT_TRUE(got.has_value());
+          EXPECT_EQ(*got, want);
+        }
+        EXPECT_EQ(tiny.bytes(), 0u);
+      }
+    }
+  }
+  EXPECT_GT(coherent, 0);
+  EXPECT_GT(incoherent, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ValidatorCoherence,
+                         ::testing::Range<uint64_t>(1, 21));
+
+TEST(Validator, CoherenceSeedsCoverWalkLengthsOneToThree) {
+  // The brute-force comparison above checks walks of every length the
+  // search discovers.
+  std::set<int> lengths;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const CoherenceSeed cs = MakeCoherenceSeed(seed);
+    for (const WorkloadQuery& wq : cs.queries) {
+      for (const Walk& w :
+           DiscoverWalks(cs.db, MappingOf(wq.query), CoherenceFirst())) {
+        lengths.insert(w.length());
+      }
+    }
+  }
+  EXPECT_EQ(lengths, (std::set<int>{1, 2, 3}));
+}
 
 }  // namespace
 }  // namespace fastqre

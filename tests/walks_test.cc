@@ -185,39 +185,6 @@ TEST(Walks, ComposeQueryReconstructsPaperQuery1) {
   EXPECT_EQ(TableToTupleSet(result), TableToTupleSet(f.rout));
 }
 
-TEST(Walks, ComposeWalkSubqueryProjectsEndpointColumns) {
-  WalkFixture f = PaperQuery1Fixture();
-  auto walks = DiscoverWalks(f.db, f.mapping, f.opts);
-  const Walk& w = walks.front();
-  std::vector<ColumnId> out_cols;
-  PJQuery sub = ComposeWalkSubquery(f.db, f.mapping, w, &out_cols);
-  EXPECT_TRUE(sub.IsConnected());
-  ASSERT_EQ(sub.projections().size(), out_cols.size());
-  // out_cols are exactly the R_out columns mapped to the two endpoints.
-  size_t expected = 0;
-  for (const auto& [inst, col] : f.mapping.slots) {
-    if (inst == w.from_instance || inst == w.to_instance) ++expected;
-  }
-  EXPECT_EQ(out_cols.size(), expected);
-}
-
-TEST(Walks, SubqueryOfTrueWalkIsCoherent) {
-  // For a walk actually used by Q_gen, pi(R_out) on the endpoint columns is
-  // contained in the subquery result (the Section 4.5 guarantee).
-  WalkFixture f = PaperQuery1Fixture();
-  auto walks = DiscoverWalks(f.db, f.mapping, f.opts);
-  for (const Walk& w : walks) {
-    if (WalkTables(f, w) != "supplier-nation-supplier") continue;
-    std::vector<ColumnId> out_cols;
-    PJQuery sub = ComposeWalkSubquery(f.db, f.mapping, w, &out_cols);
-    Table result = ExecuteToTable(f.db, sub, "walkres").ValueOrDie();
-    TupleSet res_set = TableToTupleSet(result);
-    EXPECT_TRUE(ProjectionSubsetOf(f.rout, out_cols, res_set));
-    return;
-  }
-  FAIL() << "expected walk not found";
-}
-
 TEST(Walks, TwoInstanceMappingHasWalks) {
   Database db = BuildTpch({.scale_factor = 0.001, .seed = 3}).ValueOrDie();
   auto workload = StandardTpchWorkload(db).ValueOrDie();

@@ -43,6 +43,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -95,15 +96,31 @@ struct Flags {
     auto it = values.find(name);
     return it == values.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& name, double fallback) const {
-    double out = fallback;
-    if (Has(name)) (void)ParseDouble(Get(name), &out);
-    return out;
+  // Numeric flags: `*out` keeps its value when the flag is absent. A value
+  // that does not parse, or is out of range, is a usage error: false, after
+  // naming the flag on stderr.
+  bool GetDouble(const std::string& name, double* out, double min) const {
+    double v = 0;
+    if (!Has(name)) return true;
+    if (ParseDouble(Get(name), &v) && v >= min) {  // false for NaN too
+      *out = v;
+      return true;
+    }
+    std::fprintf(stderr, "error: --%s expects a number >= %g, got '%s'\n",
+                 name.c_str(), min, Get(name).c_str());
+    return false;
   }
-  int64_t GetInt(const std::string& name, int64_t fallback) const {
-    int64_t out = fallback;
-    if (Has(name)) (void)ParseInt64(Get(name), &out);
-    return out;
+  template <typename Int>
+  bool GetInt(const std::string& name, Int* out, int64_t min) const {
+    int64_t v = 0;
+    if (!Has(name)) return true;
+    if (ParseInt64(Get(name), &v) && v >= min && std::in_range<Int>(v)) {
+      *out = static_cast<Int>(v);
+      return true;
+    }
+    std::fprintf(stderr, "error: --%s expects an integer >= %lld, got '%s'\n",
+                 name.c_str(), static_cast<long long>(min), Get(name).c_str());
+    return false;
   }
 };
 
@@ -147,8 +164,11 @@ std::string StatsToJson(const QreStats& s, bool found,
 int CmdGenTpch(const Flags& flags) {
   if (!flags.Has("out")) return Usage();
   TpchOptions opts;
-  opts.scale_factor = flags.GetDouble("scale", 0.002);
-  opts.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  opts.scale_factor = 0.002;
+  if (!flags.GetDouble("scale", &opts.scale_factor, 0) ||
+      !flags.GetInt("seed", &opts.seed, 0)) {
+    return 2;
+  }
   auto db = BuildTpch(opts);
   if (!db.ok()) return Fail(db.status());
   Status st = SaveDatabase(*db, flags.Get("out"));
@@ -220,48 +240,29 @@ int CmdReverse(const Flags& flags) {
 
   QreOptions opts;
   if (flags.Has("superset")) opts.variant = QreVariant::kSuperset;
-  opts.time_budget_seconds = flags.GetDouble("budget", 0.0);
-  opts.alpha = flags.GetDouble("alpha", opts.alpha);
   opts.collect_trace = flags.Has("trace");
-  opts.validation_threads = static_cast<int>(flags.GetInt("threads", 1));
-  if (opts.validation_threads < 1) {
-    std::fprintf(stderr, "error: --threads must be >= 1\n");
-    return 2;
-  }
-  opts.intra_candidate_threads =
-      static_cast<int>(flags.GetInt("intra-threads", 1));
-  if (opts.intra_candidate_threads < 1) {
-    std::fprintf(stderr, "error: --intra-threads must be >= 1\n");
-    return 2;
-  }
-  opts.morsel_size =
-      static_cast<int>(flags.GetInt("morsel-size", opts.morsel_size));
-  if (opts.morsel_size < 1) {
-    std::fprintf(stderr, "error: --morsel-size must be >= 1\n");
-    return 2;
-  }
   if (flags.Has("no-batch")) opts.use_batched_probes = false;
   if (flags.Has("no-sip")) opts.use_sip = false;
-  long long cache_mb = flags.GetInt("walk-cache-mb", 64);
-  if (cache_mb < 0) {
-    std::fprintf(stderr, "error: --walk-cache-mb must be >= 0\n");
+  uint64_t cache_mb = 64;
+  uint64_t subplan_mb = 64;
+  uint64_t mem_mb = 0;
+  int limit = 1;
+  double cancel_after = -1.0;
+  if (!flags.GetDouble("budget", &opts.time_budget_seconds, 0) ||
+      !flags.GetDouble("alpha", &opts.alpha, 0) ||
+      !flags.GetInt("threads", &opts.validation_threads, 1) ||
+      !flags.GetInt("intra-threads", &opts.intra_candidate_threads, 1) ||
+      !flags.GetInt("morsel-size", &opts.morsel_size, 1) ||
+      !flags.GetInt("walk-cache-mb", &cache_mb, 0) ||
+      !flags.GetInt("subplan-cache-mb", &subplan_mb, 0) ||
+      !flags.GetInt("memory-budget-mb", &mem_mb, 0) ||
+      !flags.GetInt("all", &limit, 1) ||
+      !flags.GetDouble("cancel-after", &cancel_after, 0)) {
     return 2;
   }
-  opts.walk_cache_budget_bytes = static_cast<uint64_t>(cache_mb) << 20;
-  long long subplan_mb = flags.GetInt("subplan-cache-mb", 64);
-  if (subplan_mb < 0) {
-    std::fprintf(stderr, "error: --subplan-cache-mb must be >= 0\n");
-    return 2;
-  }
-  opts.subplan_cache_budget_bytes = static_cast<uint64_t>(subplan_mb) << 20;
-  long long mem_mb = flags.GetInt("memory-budget-mb", 0);
-  if (mem_mb < 0) {
-    std::fprintf(stderr, "error: --memory-budget-mb must be >= 0\n");
-    return 2;
-  }
-  opts.memory_budget_bytes = static_cast<uint64_t>(mem_mb) << 20;
-  int limit = static_cast<int>(flags.GetInt("all", 1));
-  double cancel_after = flags.GetDouble("cancel-after", -1.0);
+  opts.walk_cache_budget_bytes = cache_mb << 20;
+  opts.subplan_cache_budget_bytes = subplan_mb << 20;
+  opts.memory_budget_bytes = mem_mb << 20;
 
   FastQre engine(&*db, opts);
   // External cancellation: a watchdog thread calls Cancel() after the
@@ -335,7 +336,8 @@ int CmdRun(const Flags& flags) {
   if (!query.ok()) return Fail(query.status());
   auto result = ExecuteToTable(*db, *query, "result");
   if (!result.ok()) return Fail(result.status());
-  int64_t limit = flags.GetInt("limit", 20);
+  int64_t limit = 20;
+  if (!flags.GetInt("limit", &limit, 0)) return 2;
   std::string csv = TableToCsv(*result);
   // Print header + up to `limit` rows.
   size_t printed = 0, pos = 0;
